@@ -26,9 +26,6 @@ commands:
                                naive references; write a BENCH_kernels.json
   serve                        run the sampling-as-a-service daemon
   request [bench] [-o FILE]    query a running daemon (reply == `run` stdout)
-  fleet                        run a sharded serving fleet (router + shards)
-  loadgen [-o FILE]            drive a fleet with concurrent mixed traffic;
-                               write a BENCH_serve.json throughput report
   help                         show this text
 
 flags:
@@ -85,35 +82,13 @@ serve flags:
                           default: 32); --jobs sets the worker-pool size
 
 request flags:
-  --addr <host:port>      daemon (or fleet router) address
-                          (default: 127.0.0.1:7411)
+  --addr <host:port>      daemon address (default: 127.0.0.1:7411)
   --ping | --stats | --shutdown
                           control op instead of a run request
-  --suite                 batch op: stream one result line per benchmark
-                          (comma-separated operand, or the whole suite)
   --retries <n>           max attempts on transient connect/busy failures
                           (>= 1; 1 disables retry; default: 4). Backoff is
                           exponential with deterministic jitter and honors
                           the daemon's retry_after_ms hint
-
-fleet flags:
-  --shards <n>            backend serve instances (>= 1, default: 2);
-                          shards always bind ephemeral loopback ports
-  --addr <host:port>      router listen address (default: 127.0.0.1:7411;
-                          port 0 binds an ephemeral port, printed on stdout)
-  --cache-dir <DIR>       disk-tier root; shard i uses DIR/shard-<i>
-  --queue-depth <n>       admission queue depth (router and shards)
-
-loadgen flags:
-  --fleet <n>             backend shards for the ephemeral fleet
-  --clients <n>           concurrent client threads
-  --requests <n>          total requests across all clients
-  --mix <cold:warm>       traffic mix, e.g. 1:3 (cold = never-seen config,
-                          warm = repeated pool)
-  --seed <n>              schedule + retry-jitter seed
-  --quick                 small CI preset (2 shards, 4 clients, 24 requests);
-                          full preset otherwise (3 shards, 8 clients, 96)
-  --validate <FILE>       only validate an existing report, run nothing
 
 <bench> is a SPEC name (e.g. 505.mcf_r) or a unique substring (mcf_r).";
 
@@ -278,10 +253,9 @@ pub enum Command {
         /// Admission-queue depth.
         queue_depth: usize,
     },
-    /// `sampsim request [bench] [--addr A] [--ping|--stats|--shutdown|--suite]`
+    /// `sampsim request [bench] [--addr A] [--ping|--stats|--shutdown]`
     Request {
-        /// Benchmark name or substring (required for run requests; an
-        /// optional comma-separated list for `--suite`).
+        /// Benchmark name or substring (required for run requests).
         bench: Option<String>,
         /// Daemon address.
         addr: String,
@@ -291,38 +265,6 @@ pub enum Command {
         retries: Option<u32>,
         /// Also write the reply to this path (stdout always gets it).
         out: Option<String>,
-    },
-    /// `sampsim fleet [--shards N] [--addr A] [--cache-dir DIR]
-    /// [--queue-depth N]`
-    Fleet {
-        /// Backend shard count.
-        shards: usize,
-        /// Router listen address.
-        addr: String,
-        /// Disk-tier root (`None` = memory tiers only).
-        cache_dir: Option<String>,
-        /// Admission-queue depth (router and shards).
-        queue_depth: usize,
-    },
-    /// `sampsim loadgen [--fleet N] [--clients C] [--requests R]
-    /// [--mix cold:warm] [--seed S] [--quick] [-o FILE] [--validate FILE]`
-    Loadgen {
-        /// Shard-count override (`None` = preset).
-        shards: Option<usize>,
-        /// Client-thread override (`None` = preset).
-        clients: Option<usize>,
-        /// Request-count override (`None` = preset).
-        requests: Option<usize>,
-        /// Mix override, `cold:warm` (`None` = preset).
-        mix: Option<String>,
-        /// Seed override (`None` = preset).
-        seed: Option<u64>,
-        /// Use the small CI preset as the base.
-        quick: bool,
-        /// Also write the report to this path (stdout always gets it).
-        out: Option<String>,
-        /// Validate this existing report instead of running traffic.
-        validate: Option<String>,
     },
     /// `sampsim help`
     Help,
@@ -340,8 +282,6 @@ pub enum RequestOp {
     Stats,
     /// Graceful shutdown.
     Shutdown,
-    /// Batch suite sweep (streams one line per benchmark).
-    Suite,
 }
 
 /// Output format of `sampsim lint`.
@@ -379,11 +319,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
     let mut queue_depth: Option<usize> = None;
     let mut request_op: Option<RequestOp> = None;
     let mut retries: Option<u32> = None;
-    let mut shards: Option<usize> = None;
-    let mut clients: Option<usize> = None;
-    let mut requests: Option<usize> = None;
-    let mut mix: Option<String> = None;
-    let mut seed: Option<u64> = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -455,17 +390,14 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
                 }
                 queue_depth = Some(n);
             }
-            "--ping" | "--stats" | "--shutdown" | "--suite" => {
+            "--ping" | "--stats" | "--shutdown" => {
                 let op = match arg.as_str() {
                     "--ping" => RequestOp::Ping,
                     "--stats" => RequestOp::Stats,
-                    "--suite" => RequestOp::Suite,
                     _ => RequestOp::Shutdown,
                 };
                 if request_op.is_some_and(|prev| prev != op) {
-                    return Err(
-                        "--ping, --stats, --shutdown and --suite are mutually exclusive".into(),
-                    );
+                    return Err("--ping, --stats and --shutdown are mutually exclusive".into());
                 }
                 request_op = Some(op);
             }
@@ -476,39 +408,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
                     return Err("--retries must be >= 1".into());
                 }
                 retries = Some(n);
-            }
-            "--shards" | "--fleet" => {
-                let v = iter.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                if n == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-                shards = Some(n);
-            }
-            "--clients" => {
-                let v = iter.next().ok_or("--clients needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --clients value: {v}"))?;
-                if n == 0 {
-                    return Err("--clients must be >= 1".into());
-                }
-                clients = Some(n);
-            }
-            "--requests" => {
-                let v = iter.next().ok_or("--requests needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --requests value: {v}"))?;
-                if n == 0 {
-                    return Err("--requests must be >= 1".into());
-                }
-                requests = Some(n);
-            }
-            "--mix" => {
-                mix = Some(iter.next().ok_or("--mix needs a cold:warm value")?);
-            }
-            "--seed" => {
-                let v = iter.next().ok_or("--seed needs a value")?;
-                seed = Some(v.parse().map_err(|_| format!("bad --seed value: {v}"))?);
             }
             "--validate" => {
                 validate = Some(iter.next().ok_or("--validate needs a path")?);
@@ -621,15 +520,10 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
             let op = request_op.unwrap_or_default();
             if op == RequestOp::Run && bench.is_none() {
                 return Err(
-                    "request needs a benchmark (or one of --ping/--stats/--shutdown/--suite)"
-                        .into(),
+                    "request needs a benchmark (or one of --ping/--stats/--shutdown)".into(),
                 );
             }
-            // `--suite` takes an optional comma-separated benchmark list;
-            // the pure control ops take none.
-            if matches!(op, RequestOp::Ping | RequestOp::Stats | RequestOp::Shutdown)
-                && bench.is_some()
-            {
+            if op != RequestOp::Run && bench.is_some() {
                 return Err(
                     "control requests (--ping/--stats/--shutdown) take no benchmark".into(),
                 );
@@ -640,33 +534,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
                 op,
                 retries,
                 out,
-            }
-        }
-        Some("fleet") => Command::Fleet {
-            shards: shards.unwrap_or(2),
-            addr: addr.unwrap_or_else(|| sampsim_serve::DEFAULT_ADDR.to_string()),
-            cache_dir,
-            queue_depth: queue_depth.unwrap_or(sampsim_serve::DEFAULT_QUEUE_DEPTH),
-        },
-        Some("loadgen") => {
-            if validate.is_some()
-                && (shards.is_some()
-                    || clients.is_some()
-                    || requests.is_some()
-                    || mix.is_some()
-                    || seed.is_some())
-            {
-                return Err("loadgen --validate takes no traffic flags".into());
-            }
-            Command::Loadgen {
-                shards,
-                clients,
-                requests,
-                mix,
-                seed,
-                quick,
-                out,
-                validate,
             }
         }
         Some(other) => return Err(format!("unknown command: {other}")),
@@ -1009,111 +876,11 @@ mod tests {
                 out: None,
             }
         );
-        // --suite takes an optional comma-separated benchmark list.
-        assert_eq!(
-            parse_str("request --suite").unwrap().command,
-            Command::Request {
-                bench: None,
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                op: RequestOp::Suite,
-                retries: None,
-                out: None,
-            }
-        );
-        assert_eq!(
-            parse_str("request mcf_r,omnetpp_s --suite --retries 2")
-                .unwrap()
-                .command,
-            Command::Request {
-                bench: Some("mcf_r,omnetpp_s".into()),
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                op: RequestOp::Suite,
-                retries: Some(2),
-                out: None,
-            }
-        );
         assert!(parse_str("request").is_err(), "run op needs a benchmark");
         assert!(parse_str("request mcf_r --stats").is_err());
         assert!(parse_str("request --ping --shutdown").is_err());
         assert!(parse_str("request mcf_r --retries 0").is_err());
         assert!(parse_str("request mcf_r --retries nope").is_err());
-    }
-
-    #[test]
-    fn parses_fleet() {
-        assert_eq!(
-            parse_str("fleet").unwrap().command,
-            Command::Fleet {
-                shards: 2,
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                cache_dir: None,
-                queue_depth: sampsim_serve::DEFAULT_QUEUE_DEPTH,
-            }
-        );
-        assert_eq!(
-            parse_str("fleet --shards 3 --addr 127.0.0.1:0 --cache-dir /tmp/f --queue-depth 8")
-                .unwrap()
-                .command,
-            Command::Fleet {
-                shards: 3,
-                addr: "127.0.0.1:0".into(),
-                cache_dir: Some("/tmp/f".into()),
-                queue_depth: 8,
-            }
-        );
-        assert!(parse_str("fleet --shards 0").is_err());
-        assert!(parse_str("fleet --shards nope").is_err());
-    }
-
-    #[test]
-    fn parses_loadgen() {
-        assert_eq!(
-            parse_str("loadgen --quick").unwrap().command,
-            Command::Loadgen {
-                shards: None,
-                clients: None,
-                requests: None,
-                mix: None,
-                seed: None,
-                quick: true,
-                out: None,
-                validate: None,
-            }
-        );
-        assert_eq!(
-            parse_str("loadgen --fleet 3 --clients 8 --requests 96 --mix 1:3 --seed 7 -o r.json")
-                .unwrap()
-                .command,
-            Command::Loadgen {
-                shards: Some(3),
-                clients: Some(8),
-                requests: Some(96),
-                mix: Some("1:3".into()),
-                seed: Some(7),
-                quick: false,
-                out: Some("r.json".into()),
-                validate: None,
-            }
-        );
-        assert_eq!(
-            parse_str("loadgen --validate BENCH_serve.json")
-                .unwrap()
-                .command,
-            Command::Loadgen {
-                shards: None,
-                clients: None,
-                requests: None,
-                mix: None,
-                seed: None,
-                quick: false,
-                out: None,
-                validate: Some("BENCH_serve.json".into()),
-            }
-        );
-        assert!(parse_str("loadgen --clients 0").is_err());
-        assert!(parse_str("loadgen --requests 0").is_err());
-        assert!(parse_str("loadgen --seed nope").is_err());
-        assert!(parse_str("loadgen --validate r.json --clients 2").is_err());
     }
 
     #[test]
@@ -1124,5 +891,20 @@ mod tests {
         assert!(parse_str("list extra").is_err());
         assert!(parse_str("profile x --scale nope").is_err());
         assert!(parse_str("profile x --scale -1").is_err());
+        // There is no fleet, load generator or batch op to parse.
+        assert!(parse_str("fleet").is_err());
+        assert!(parse_str("loadgen --quick").is_err());
+        assert!(parse_str("request --suite").is_err());
+        assert!(parse_str("request mcf_r --suite").is_err());
+        for flag in [
+            "--shards",
+            "--fleet",
+            "--clients",
+            "--requests",
+            "--mix",
+            "--seed",
+        ] {
+            assert!(parse_str(&format!("serve {flag} 2")).is_err(), "{flag}");
+        }
     }
 }

@@ -2,7 +2,6 @@
 
 mod audit;
 mod compare;
-mod fleet;
 mod lint;
 mod perf;
 mod plan;
@@ -10,7 +9,6 @@ mod serve;
 
 pub use audit::audit;
 pub use compare::compare;
-pub use fleet::{fleet, loadgen};
 pub use lint::{explain, lint};
 pub use perf::perf;
 pub use plan::plan;

@@ -3,7 +3,6 @@
 use super::{create_report_file, CmdResult};
 use crate::args::{Options, RequestOp};
 use sampsim_serve::client::{self, RetryPolicy};
-use sampsim_serve::service::RunRequest;
 use sampsim_serve::{protocol, ServeConfig, Server, DEFAULT_MEM_ENTRIES};
 use std::io::Write;
 use std::path::PathBuf;
@@ -43,10 +42,10 @@ pub fn serve(
     Ok(())
 }
 
-/// `sampsim request [bench] [--addr A] [--ping|--stats|--shutdown|--suite]
+/// `sampsim request [bench] [--addr A] [--ping|--stats|--shutdown]
 /// [--retries N] [-o FILE]`.
 ///
-/// Sends one request line, prints the reply line(s) to stdout (and `-o
+/// Sends one request line, prints the reply line to stdout (and `-o
 /// FILE` when given). Error replies go to stderr and fail the command, so
 /// a zero exit always means the stdout line is a successful reply — for
 /// run requests, byte-identical to `sampsim run` stdout.
@@ -54,9 +53,7 @@ pub fn serve(
 /// Transient failures — connection refused/reset, or a `busy` reply —
 /// are retried with exponential backoff and deterministic jitter,
 /// honoring the daemon's `retry_after_ms` hint; `--retries N` bounds the
-/// attempts (`--retries 1` disables retry). `--suite` sends the batch op
-/// (benchmarks from the comma-separated operand, or the whole suite) and
-/// streams one envelope line per benchmark as the fleet produces them.
+/// attempts (`--retries 1` disables retry).
 pub fn request(
     bench: Option<&str>,
     addr: &str,
@@ -66,42 +63,6 @@ pub fn request(
     options: &Options,
 ) -> CmdResult {
     let mut sink = out.map(create_report_file).transpose()?;
-    let template = |bench: &str| RunRequest {
-        bench: bench.to_string(),
-        scale: options.scale.factor(),
-        slice: options.slice,
-        maxk: options.maxk,
-        strategy: options.strategy.clone(),
-        kmeans: options.kmeans_mode.clone(),
-    };
-    if op == RequestOp::Suite {
-        // The batch op streams; print every envelope line as it lands.
-        let benches: Vec<&str> = bench
-            .map(|list| list.split(',').map(str::trim).collect())
-            .unwrap_or_default();
-        let line = protocol::suite_request_line(&benches, &template(""));
-        let summary = client::request_stream(addr, &line, |item| {
-            println!("{item}");
-            if let Some(file) = &mut sink {
-                let _ = writeln!(file, "{item}");
-            }
-        })?;
-        if protocol::is_error_reply(&summary) {
-            eprintln!("{summary}");
-            return Err(format!("the server at {addr} rejected the request").into());
-        }
-        println!("{summary}");
-        if let Some(file) = &mut sink {
-            writeln!(file, "{summary}")?;
-        }
-        match protocol::suite_summary_errors(&summary) {
-            Some(0) => return Ok(()),
-            Some(errors) => {
-                return Err(format!("{errors} of the suite's benchmarks failed").into());
-            }
-            None => return Err(format!("malformed suite summary: {summary}").into()),
-        }
-    }
     let line = match op {
         RequestOp::Run => {
             let bench = bench.ok_or("request needs a benchmark")?;
@@ -117,7 +78,6 @@ pub fn request(
         RequestOp::Ping => "{\"op\":\"ping\"}".to_string(),
         RequestOp::Stats => "{\"op\":\"stats\"}".to_string(),
         RequestOp::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
-        RequestOp::Suite => unreachable!("handled above"),
     };
     let policy = RetryPolicy {
         attempts: retries.unwrap_or(client::DEFAULT_RETRY.attempts),

@@ -15,8 +15,6 @@
 //! sampsim audit    [bench]              static-vs-dynamic differential oracle
 //! sampsim serve                         sampling-as-a-service daemon
 //! sampsim request  <bench>              query a daemon (reply == run stdout)
-//! sampsim fleet                         sharded serving fleet (router+shards)
-//! sampsim loadgen                       drive a fleet, emit BENCH_serve.json
 //! ```
 //!
 //! Global flags: `--scale <f>` (workload scale, default `$SAMPSIM_SCALE`
@@ -166,37 +164,6 @@ fn main() -> ExitCode {
             retries,
             out.as_deref(),
             &parsed.options,
-        ),
-        args::Command::Fleet {
-            shards,
-            addr,
-            cache_dir,
-            queue_depth,
-        } => commands::fleet(
-            shards,
-            &addr,
-            cache_dir.as_deref(),
-            queue_depth,
-            &parsed.options,
-        ),
-        args::Command::Loadgen {
-            shards,
-            clients,
-            requests,
-            mix,
-            seed,
-            quick,
-            out,
-            validate,
-        } => commands::loadgen(
-            shards,
-            clients,
-            requests,
-            mix.as_deref(),
-            seed,
-            quick,
-            out.as_deref(),
-            validate.as_deref(),
         ),
         args::Command::Help => {
             println!("{}", args::USAGE);

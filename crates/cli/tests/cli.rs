@@ -29,10 +29,19 @@ fn list_shows_all_benchmarks() {
 #[test]
 fn unknown_command_fails_with_usage() {
     let out = sampsim().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown command"));
     assert!(err.contains("usage:"));
+    // There is no fleet, load generator or batch op.
+    for args in [
+        &["fleet"][..],
+        &["loadgen", "--quick"],
+        &["request", "--suite"],
+    ] {
+        let out = sampsim().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+    }
 }
 
 #[test]

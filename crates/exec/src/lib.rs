@@ -159,82 +159,6 @@ where
     })
 }
 
-/// Streaming [`parallel_map`]: maps `f` over `items` on up to `jobs`
-/// workers and delivers each result to `sink` **in input order, as soon
-/// as the ordered prefix is complete** — result `i` is delivered the
-/// moment items `0..=i` have all finished, without waiting for the rest
-/// of the batch.
-///
-/// This is the fan-out shape the fleet router's batch op needs: a suite
-/// sweep streams per-benchmark reply lines back to the client while
-/// later benchmarks are still executing, yet the line order is exactly
-/// the serial order, so the byte stream is deterministic for every job
-/// count. Out-of-order completions wait in a reorder buffer bounded by
-/// the item count.
-///
-/// # Panics
-///
-/// Propagates the first worker panic (by join order) after all workers
-/// have stopped; `sink` runs on the calling thread and may panic freely.
-pub fn parallel_stream<T, R, F, S>(jobs: Jobs, items: &[T], f: F, mut sink: S)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    S: FnMut(usize, R),
-{
-    let workers = jobs.get().min(items.len());
-    if workers <= 1 {
-        for (i, t) in items.iter().enumerate() {
-            sink(i, f(i, t));
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            handles.push(scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            }));
-        }
-        drop(tx);
-        // Reorder buffer: deliver the contiguous prefix as it completes.
-        let mut pending: Vec<Option<R>> =
-            std::iter::repeat_with(|| None).take(items.len()).collect();
-        let mut delivered = 0;
-        for (i, r) in rx {
-            pending[i] = Some(r);
-            while delivered < items.len() {
-                match pending[delivered].take() {
-                    Some(r) => {
-                        sink(delivered, r);
-                        delivered += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        assert_eq!(delivered, items.len(), "every index streamed a result");
-    });
-}
-
 /// Fallible [`parallel_map`]: maps `f` over `items` and returns either
 /// every success (in input order) or the error belonging to the
 /// *lowest-indexed* failing item — the same error a serial loop would
@@ -311,48 +235,6 @@ mod tests {
         assert_eq!(got, vec![2, 3]);
         let empty: Vec<i32> = vec![];
         assert!(parallel_map(Jobs::new(4).unwrap(), &empty, |_, &x: &i32| x).is_empty());
-    }
-
-    #[test]
-    fn stream_delivers_in_input_order_for_every_job_count() {
-        let items: Vec<u64> = (0..73).collect();
-        let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
-        for jobs in [
-            SERIAL,
-            Jobs::new(2).unwrap(),
-            Jobs::new(7).unwrap(),
-            Jobs::Auto,
-        ] {
-            let mut got = Vec::new();
-            parallel_stream(jobs, &items, |_, &x| x * 3, |i, r| got.push((i, r)));
-            assert_eq!(got, expect, "jobs = {jobs}");
-        }
-        let empty: Vec<u64> = vec![];
-        let mut calls = 0;
-        parallel_stream(Jobs::new(4).unwrap(), &empty, |_, &x| x, |_, _| calls += 1);
-        assert_eq!(calls, 0);
-    }
-
-    #[test]
-    fn stream_delivers_prefix_before_the_batch_finishes() {
-        // Item 0 is slow; items 1.. are instant. With >= 2 workers the
-        // fast items pile into the reorder buffer and must all flush the
-        // moment item 0 lands — order stays serial regardless.
-        let items: Vec<u64> = (0..16).collect();
-        let mut got = Vec::new();
-        parallel_stream(
-            Jobs::new(4).unwrap(),
-            &items,
-            |i, &x| {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-                x
-            },
-            |i, r| got.push((i, r)),
-        );
-        let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x)).collect();
-        assert_eq!(got, expect);
     }
 
     #[test]

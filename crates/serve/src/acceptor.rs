@@ -1,5 +1,4 @@
-//! Readiness-driven connection intake, shared by the daemon and the
-//! fleet router.
+//! Readiness-driven connection intake for the daemon.
 //!
 //! The first daemon handed every accepted socket straight to a worker,
 //! which then *blocked* reading the request line — an idle client pinned
@@ -39,7 +38,8 @@ pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// The sweep sleep when neither accept nor any read made progress.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-/// How the poll loop talks to its owner (daemon or router).
+/// How the poll loop talks to its owner: the daemon, or a fake in the
+/// tests below.
 pub trait AcceptControl: Sync {
     /// True once no further connections should be accepted. The loop
     /// keeps polling (and dispatching) already-accepted connections,

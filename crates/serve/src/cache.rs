@@ -97,9 +97,9 @@ pub struct TieredCache {
 
 /// Process-wide unique suffix source for temp files. Per-*instance*
 /// counters are not enough: two caches over the same directory in one
-/// process (fleet shards under one `--cache-dir` root, a daemon plus a
-/// warm-filling router) would both start at 0 and, with the same pid in
-/// the name, collide on the very first write of a shared key — one
+/// process (two daemons under one `--cache-dir`, or a daemon and a
+/// test harness) would both start at 0 and, with the same pid in the
+/// name, collide on the very first write of a shared key — one
 /// writer's `fs::write` then interleaves with the other's rename and a
 /// torn entry gets renamed under the final name.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -138,7 +138,17 @@ impl TieredCache {
                     ));
                 }
                 Ok(_) => {}
-                Err(_) => fs::write(&stamp, stamp_contents())?,
+                Err(_) => {
+                    // Temp file + rename, like entries: a cache opening the
+                    // same directory concurrently never reads a half-written
+                    // stamp and mistakes it for a foreign format.
+                    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+                    let tmp = dir.join(format!(".stamp.{}.{seq}.tmp", std::process::id()));
+                    fs::write(&tmp, stamp_contents())?;
+                    fs::rename(&tmp, &stamp).inspect_err(|_| {
+                        let _ = fs::remove_file(&tmp);
+                    })?;
+                }
             }
         }
         Ok(Self {
@@ -333,10 +343,9 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The concurrent shard warm-fill shape: several cache instances
-    /// share one directory (distinct shards, a router warm-filling a
-    /// sibling) and hammer the *same* key with different payloads while
-    /// readers race them. Every successful read must be one of the
+    /// Several cache instances share one directory (two daemons over
+    /// one `--cache-dir`) and hammer the *same* key with different
+    /// payloads while readers race them. Every successful read must be one of the
     /// payloads, intact — never a torn or interleaved entry.
     #[test]
     fn concurrent_same_key_writes_never_tear() {

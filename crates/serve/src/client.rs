@@ -1,8 +1,8 @@
 //! A minimal blocking client for the serve protocol: one connection, one
 //! request line, one reply line — plus a bounded-retry wrapper for the
-//! two *transient* failure shapes a fleet client meets in practice:
-//! connection-level errors (a shard restarting, a router not yet bound)
-//! and typed `busy` replies (admission queue full).
+//! two *transient* failure shapes a client meets in practice:
+//! connection-level errors (a daemon restarting or not yet bound) and
+//! typed `busy` replies (admission queue full).
 //!
 //! Retries use exponential backoff with deterministic jitter: the jitter
 //! sequence is drawn from a caller-supplied seed, so tests can pin the
@@ -40,51 +40,6 @@ pub fn request_line(addr: &str, line: &str) -> std::io::Result<String> {
         ));
     }
     Ok(reply)
-}
-
-/// Sends one request line and reads a *stream* of reply lines (the
-/// `suite` batch op): every line before the last is handed to
-/// `on_line`, and the final line — the stream's summary, or the single
-/// error reply of a refused request — is returned. The stream ends at
-/// a `suite` summary line or at EOF.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error, or `UnexpectedEof` when the server
-/// closes without sending any reply line.
-pub fn request_stream(
-    addr: &str,
-    line: &str,
-    mut on_line: impl FnMut(&str),
-) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut last: Option<String> = None;
-    loop {
-        let mut reply = String::new();
-        let n = reader.read_line(&mut reply)?;
-        if n == 0 {
-            return last.ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection without replying",
-                )
-            });
-        }
-        let reply = reply.trim_end_matches(['\r', '\n']).to_string();
-        if protocol::is_suite_summary(&reply) {
-            if let Some(prev) = last.take() {
-                on_line(&prev);
-            }
-            return Ok(reply);
-        }
-        if let Some(prev) = last.replace(reply) {
-            on_line(&prev);
-        }
-    }
 }
 
 /// Bounded-retry policy for [`request_line_with_retry`].
@@ -157,8 +112,8 @@ pub struct RetriedReply {
 /// connection-level I/O error, and `busy` replies (which carry a server
 /// `retry_after_ms` hint; the sleep is the larger of the hint and the
 /// policy's backoff). Non-busy error replies — `bad-request`,
-/// `invalid-config`, `unknown-bench`, `internal`, `degraded` — are
-/// definitive answers and are returned immediately, never retried.
+/// `invalid-config`, `unknown-bench`, `internal` — are definitive
+/// answers and are returned immediately, never retried.
 ///
 /// # Errors
 ///

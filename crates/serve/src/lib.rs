@@ -113,14 +113,12 @@ pub struct Stats {
     pub busy_rejects: u64,
     /// Profiling-stage cache hits inside the pipeline.
     pub stage_hits: u64,
-    /// Cache entries stored via the fleet `peer-put` warming protocol.
-    pub peer_warms: u64,
 }
 
 impl Stats {
-    /// The counter names, in reply order (shared by the renderer, the
-    /// parser, and the fleet aggregator).
-    pub const FIELDS: [&'static str; 9] = [
+    /// The counter names, in reply order (shared by the renderer and the
+    /// parser).
+    pub const FIELDS: [&'static str; 8] = [
         "requests",
         "executions",
         "coalesced",
@@ -129,7 +127,6 @@ impl Stats {
         "misses",
         "busy_rejects",
         "stage_hits",
-        "peer_warms",
     ];
 
     fn field(&self, name: &str) -> u64 {
@@ -142,7 +139,6 @@ impl Stats {
             "misses" => self.misses,
             "busy_rejects" => self.busy_rejects,
             "stage_hits" => self.stage_hits,
-            "peer_warms" => self.peer_warms,
             other => unreachable!("unknown stats field {other:?}"),
         }
     }
@@ -157,7 +153,6 @@ impl Stats {
             "misses" => &mut self.misses,
             "busy_rejects" => &mut self.busy_rejects,
             "stage_hits" => &mut self.stage_hits,
-            "peer_warms" => &mut self.peer_warms,
             other => unreachable!("unknown stats field {other:?}"),
         }
     }
@@ -172,9 +167,9 @@ impl Stats {
     }
 
     /// Parses a `stats` reply line back into counters — the inverse of
-    /// [`Stats::to_json`], used by the fleet router to aggregate shard
-    /// stats. Unknown fields are ignored (forward compatibility); a
-    /// missing field reads as zero.
+    /// [`Stats::to_json`], for clients that diff two snapshots. Unknown
+    /// fields are ignored (forward compatibility); a missing field reads
+    /// as zero.
     pub fn from_json(line: &str) -> Option<Stats> {
         let value = json::parse(line).ok()?;
         if value.get("ok")?.as_str()? != "stats" {
@@ -190,14 +185,6 @@ impl Stats {
         }
         Some(stats)
     }
-
-    /// Adds another snapshot's counters into this one (fleet-wide
-    /// aggregation).
-    pub fn merge(&mut self, other: &Stats) {
-        for name in Self::FIELDS {
-            *self.field_mut(name) += other.field(name);
-        }
-    }
 }
 
 /// Monotonic counters shared by the acceptor and workers.
@@ -210,7 +197,6 @@ struct Counters {
     disk_hits: AtomicU64,
     misses: AtomicU64,
     busy_rejects: AtomicU64,
-    peer_warms: AtomicU64,
 }
 
 impl Counters {
@@ -246,7 +232,6 @@ impl Shared {
             misses: self.counters.misses.load(Ordering::Relaxed),
             busy_rejects: self.counters.busy_rejects.load(Ordering::Relaxed),
             stage_hits: self.cache.stage_hits(),
-            peer_warms: self.counters.peer_warms.load(Ordering::Relaxed),
         }
     }
 
@@ -433,26 +418,6 @@ fn handle_request(stream: TcpStream, line: &str, shared: &Shared) -> bool {
             write_reply_line(stream, &protocol::shutdown_reply());
             true
         }
-        Ok(Request::Suite { .. }) => {
-            // Batch fan-out is the fleet router's job; the daemon's
-            // one-line reply discipline stays intact.
-            write_reply_line(
-                stream,
-                &protocol::error_reply(
-                    "bad-request",
-                    "op \"suite\" is served by the fleet router (sampsim fleet)",
-                ),
-            );
-            false
-        }
-        Ok(Request::PeerPut { key, doc }) => {
-            // Fleet warming: store the rendered document under its key
-            // so a later rebalance finds the bytes already local.
-            shared.cache.put(key, doc.as_bytes());
-            Counters::bump(&shared.counters.peer_warms);
-            write_reply_line(stream, &protocol::peer_put_reply());
-            false
-        }
         Err(message) => {
             write_reply_line(stream, &protocol::error_reply("bad-request", &message));
             false
@@ -516,11 +481,49 @@ fn cached_response(shared: &Shared, key: u64) -> Option<String> {
 }
 
 /// Writes one reply line and flushes; failures are the client's loss.
-/// Public because the fleet router replies over the same discipline.
-pub fn write_reply_line(mut stream: TcpStream, line: &str) {
+fn write_reply_line(mut stream: TcpStream, line: &str) {
     // The client may already be gone; a failed reply write is its loss.
     let _ = stream
         .write_all(line.as_bytes())
         .and_then(|()| stream.write_all(b"\n"))
         .and_then(|()| stream.flush());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_roundtrip_through_the_reply_line() {
+        let stats = Stats {
+            requests: 11,
+            executions: 3,
+            coalesced: 2,
+            mem_hits: 5,
+            disk_hits: 1,
+            misses: 3,
+            busy_rejects: 4,
+            stage_hits: 9,
+        };
+        assert_eq!(Stats::from_json(&stats.to_json()), Some(stats));
+        assert_eq!(
+            Stats::from_json(&Stats::default().to_json()),
+            Some(Stats::default())
+        );
+    }
+
+    #[test]
+    fn stats_parser_ignores_unknown_fields_and_rejects_other_replies() {
+        let line = "{\"ok\":\"stats\",\"requests\":7,\"peer_warms\":3,\"shards\":2}";
+        let stats = Stats::from_json(line).unwrap();
+        assert_eq!(
+            stats,
+            Stats {
+                requests: 7,
+                ..Stats::default()
+            }
+        );
+        assert_eq!(Stats::from_json(&protocol::pong_reply()), None);
+        assert_eq!(Stats::from_json("not json"), None);
+    }
 }

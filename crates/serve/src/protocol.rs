@@ -53,29 +53,6 @@ pub enum Request {
     Stats,
     /// Drain queued work and stop the server.
     Shutdown,
-    /// Fleet peer protocol: warm this server's response cache with an
-    /// already-rendered reply document under a content-addressed key.
-    /// Sent by the fleet router after it serves a key, so the key's
-    /// next-preference shard already holds the bytes when a rebalance
-    /// moves the key there.
-    PeerPut {
-        /// The 64-bit response key (wire format: 16 hex digits).
-        key: u64,
-        /// The exact reply document to store.
-        doc: String,
-    },
-    /// Batch study op (fleet router): one run per benchmark, fanned
-    /// across the shard pool, streamed back as one envelope line per
-    /// benchmark (in request order) followed by a summary line. The
-    /// single daemon answers it with a typed refusal — batch fan-out is
-    /// the router's job.
-    Suite {
-        /// Benchmark names/patterns; empty means the whole suite.
-        benches: Vec<String>,
-        /// The shared run template applied to every benchmark (its
-        /// `bench` field is replaced per item).
-        template: RunRequest,
-    },
 }
 
 /// Parses and strictly validates one request line.
@@ -99,10 +76,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "op", "bench", "scale", "slice", "maxk", "strategy", "kmeans",
         ],
         "ping" | "stats" | "shutdown" => &["op"],
-        "peer-put" => &["op", "key", "doc"],
-        "suite" => &[
-            "op", "benches", "scale", "slice", "maxk", "strategy", "kmeans",
-        ],
         other => return Err(format!("unknown op {other:?}")),
     };
     for (key, _) in fields {
@@ -111,64 +84,23 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
     }
     match op {
-        "run" => {
-            let bench = value
-                .get("bench")
-                .ok_or("run needs \"bench\"")?
-                .as_str()
-                .ok_or("\"bench\" must be a string")?
-                .to_string();
-            let template = parse_run_template(&value)?;
-            Ok(Request::Run(RunRequest { bench, ..template }))
-        }
-        "suite" => {
-            let benches = match value.get("benches") {
-                None => Vec::new(),
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or("\"benches\" entries must be strings".to_string())
-                    })
-                    .collect::<Result<Vec<String>, String>>()?,
-                Some(_) => return Err("\"benches\" must be an array".into()),
-            };
-            let template = parse_run_template(&value)?;
-            Ok(Request::Suite { benches, template })
-        }
+        "run" => parse_run(&value).map(Request::Run),
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "peer-put" => {
-            let key = value
-                .get("key")
-                .ok_or("peer-put needs \"key\"")?
-                .as_str()
-                .ok_or("\"key\" must be a string")?;
-            let key = parse_key_hex(key)?;
-            let doc = value
-                .get("doc")
-                .ok_or("peer-put needs \"doc\"")?
-                .as_str()
-                .ok_or("\"doc\" must be a string")?
-                .to_string();
-            // Only well-formed reply documents may enter the cache: a
-            // corrupt peer can waste space but never poison a reply with
-            // bytes that do not parse.
-            if json::parse(&doc).is_err() {
-                return Err("\"doc\" must be a JSON document".into());
-            }
-            Ok(Request::PeerPut { key, doc })
-        }
         _ => unreachable!("op validated above"),
     }
 }
 
-/// Parses the run-template fields shared by `run` and `suite` (`scale`,
-/// `slice`, `maxk`, `strategy`, `kmeans`); the returned request carries
-/// an empty `bench` for the caller to fill.
-fn parse_run_template(value: &Value) -> Result<RunRequest, String> {
+/// Parses the fields of a `run` request: the required `bench` and the
+/// optional `scale`, `slice`, `maxk`, `strategy` and `kmeans`.
+fn parse_run(value: &Value) -> Result<RunRequest, String> {
+    let bench = value
+        .get("bench")
+        .ok_or("run needs \"bench\"")?
+        .as_str()
+        .ok_or("\"bench\" must be a string")?
+        .to_string();
     let scale = match value.get("scale") {
         None => 1.0,
         Some(v) => {
@@ -200,106 +132,13 @@ fn parse_run_template(value: &Value) -> Result<RunRequest, String> {
         Some(v) => Some(v.as_str().ok_or("\"kmeans\" must be a string")?.to_string()),
     };
     Ok(RunRequest {
-        bench: String::new(),
+        bench,
         scale,
         slice,
         maxk,
         strategy,
         kmeans,
     })
-}
-
-/// Formats a 64-bit content-addressed key in its wire form: 16 lowercase
-/// hex digits. JSON numbers are IEEE doubles and lose bits above 2^53,
-/// so keys never travel as numbers.
-pub fn key_hex(key: u64) -> String {
-    format!("{key:016x}")
-}
-
-/// Parses the 16-hex-digit wire form of a key.
-///
-/// # Errors
-///
-/// Returns a human-readable message when the digit count or alphabet is
-/// wrong.
-pub fn parse_key_hex(s: &str) -> Result<u64, String> {
-    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("\"key\" must be 16 hex digits, got {s:?}"));
-    }
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad key {s:?}: {e}"))
-}
-
-/// Builds a `suite` batch request line: one run per benchmark with the
-/// shared template (the template's `bench` field is ignored). An empty
-/// `benches` slice requests the whole suite.
-pub fn suite_request_line(benches: &[&str], template: &RunRequest) -> String {
-    let run = run_request_line(
-        "",
-        template.scale,
-        template.slice,
-        template.maxk,
-        template.strategy.as_deref(),
-        template.kmeans.as_deref(),
-    );
-    // Rewrite the op and swap the bench field for the bench list.
-    let tail = run
-        .strip_prefix("{\"op\":\"run\",\"bench\":\"\",")
-        .expect("run_request_line shape is stable");
-    let names: Vec<String> = benches.iter().map(|b| json_string(b)).collect();
-    format!(
-        "{{\"op\":\"suite\",\"benches\":[{}],{}",
-        names.join(","),
-        tail
-    )
-}
-
-/// One streamed item of a `suite` reply: the item index, the requested
-/// benchmark name, and the verbatim per-benchmark reply (a run document
-/// or a typed error object).
-pub fn suite_item_line(item: usize, bench: &str, reply: &str) -> String {
-    format!(
-        "{{\"item\":{item},\"bench\":{},\"reply\":{reply}}}",
-        json_string(bench)
-    )
-}
-
-/// The terminating summary line of a `suite` reply stream.
-pub fn suite_summary_line(items: usize, errors: usize) -> String {
-    format!("{{\"ok\":\"suite\",\"items\":{items},\"errors\":{errors}}}")
-}
-
-/// Whether a line is a `suite` summary (terminates the reply stream).
-pub fn is_suite_summary(line: &str) -> bool {
-    json::parse(line)
-        .ok()
-        .and_then(|v| v.get("ok")?.as_str().map(|s| s == "suite"))
-        .unwrap_or(false)
-}
-
-/// The `errors` count of a `suite` summary line; `None` for every
-/// other line. Clients use this to exit nonzero on partial failure.
-pub fn suite_summary_errors(line: &str) -> Option<usize> {
-    let value = json::parse(line).ok()?;
-    if value.get("ok")?.as_str()? != "suite" {
-        return None;
-    }
-    let errors = value.get("errors")?.as_f64()?;
-    (errors.is_finite() && errors >= 0.0).then_some(errors as usize)
-}
-
-/// Builds the `peer-put` request line the fleet router sends to warm a
-/// sibling shard.
-pub fn peer_put_line(key: u64, doc: &str) -> String {
-    format!(
-        "{{\"op\":\"peer-put\",\"key\":\"{}\",\"doc\":{}}}",
-        key_hex(key),
-        json_string(doc)
-    )
-}
-
-/// Reply to a stored `peer-put`.
-pub fn peer_put_reply() -> String {
-    "{\"ok\":\"peer-put\"}".to_string()
 }
 
 /// Extracts a non-negative integer that fits a `u64` exactly.
@@ -500,6 +339,14 @@ mod tests {
             ("{\"op\":\"run\"}", "missing bench"),
             ("{\"bench\":\"mcf_r\"}", "missing op"),
             ("{\"op\":\"frobnicate\"}", "unknown op"),
+            (
+                r#"{"op":"peer-put","key":"0123456789abcdef","doc":"{}"}"#,
+                "peer-put is not an op",
+            ),
+            (
+                r#"{"op":"suite","benches":["mcf_r"]}"#,
+                "suite is not an op",
+            ),
             ("{\"op\":\"ping\",\"bench\":\"x\"}", "unknown key for ping"),
             ("{\"op\":\"run\",\"bench\":\"x\",\"wat\":1}", "unknown key"),
             ("{\"op\":\"run\",\"bench\":7}", "bench not a string"),
@@ -562,127 +409,6 @@ mod tests {
                 kmeans: Some("minibatch".into()),
             })
         );
-    }
-
-    #[test]
-    fn peer_put_roundtrips_and_validates() {
-        let doc = r#"{"benchmark":"620.omnetpp_s","k":3}"#;
-        let line = peer_put_line(0x0123_4567_89ab_cdef, doc);
-        let r = parse_request(&line).unwrap();
-        assert_eq!(
-            r,
-            Request::PeerPut {
-                key: 0x0123_4567_89ab_cdef,
-                doc: doc.to_string(),
-            }
-        );
-        // Keys below 2^53 survive too (the hex form is lossless by
-        // construction; this pins the padding).
-        let line = peer_put_line(7, "{}");
-        assert!(line.contains("\"key\":\"0000000000000007\""), "{line}");
-        assert!(parse_request(&line).is_ok());
-
-        for (line, why) in [
-            (r#"{"op":"peer-put"}"#, "missing key"),
-            (r#"{"op":"peer-put","key":"00","doc":"{}"}"#, "short key"),
-            (
-                r#"{"op":"peer-put","key":7,"doc":"{}"}"#,
-                "numeric key (lossy above 2^53)",
-            ),
-            (
-                r#"{"op":"peer-put","key":"zz23456789abcdef","doc":"{}"}"#,
-                "non-hex key",
-            ),
-            (
-                r#"{"op":"peer-put","key":"0123456789abcdef"}"#,
-                "missing doc",
-            ),
-            (
-                r#"{"op":"peer-put","key":"0123456789abcdef","doc":"not json"}"#,
-                "doc must parse",
-            ),
-            (
-                r#"{"op":"peer-put","key":"0123456789abcdef","doc":"{}","wat":1}"#,
-                "unknown key",
-            ),
-        ] {
-            assert!(parse_request(line).is_err(), "{why}: {line}");
-        }
-    }
-
-    #[test]
-    fn suite_requests_roundtrip_and_validate() {
-        let template = RunRequest {
-            bench: String::new(),
-            scale: 0.002,
-            slice: None,
-            maxk: Some(6),
-            strategy: None,
-            kmeans: None,
-        };
-        let line = suite_request_line(&["omnetpp_s", "mcf_r"], &template);
-        let r = parse_request(&line).unwrap();
-        assert_eq!(
-            r,
-            Request::Suite {
-                benches: vec!["omnetpp_s".into(), "mcf_r".into()],
-                template: template.clone(),
-            }
-        );
-        // Empty benches = whole suite; omitted benches parses the same.
-        let line = suite_request_line(&[], &template);
-        let r = parse_request(&line).unwrap();
-        assert_eq!(
-            r,
-            Request::Suite {
-                benches: vec![],
-                template: template.clone(),
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"suite","scale":0.002,"maxk":6}"#).unwrap(),
-            Request::Suite {
-                benches: vec![],
-                template,
-            }
-        );
-        for (line, why) in [
-            (r#"{"op":"suite","benches":"omnetpp"}"#, "benches not array"),
-            (r#"{"op":"suite","benches":[7]}"#, "entry not a string"),
-            (r#"{"op":"suite","bench":"x"}"#, "run-only key"),
-            (r#"{"op":"suite","scale":0}"#, "bad scale"),
-        ] {
-            assert!(parse_request(line).is_err(), "{why}: {line}");
-        }
-    }
-
-    #[test]
-    fn suite_stream_lines_are_valid_json() {
-        let item = suite_item_line(3, "mcf_r", "{\"benchmark\":\"505.mcf_r\"}");
-        let v = json::parse(&item).unwrap();
-        assert_eq!(v.get("item").unwrap().as_f64().unwrap(), 3.0);
-        assert_eq!(v.get("bench").unwrap().as_str().unwrap(), "mcf_r");
-        assert!(v.get("reply").unwrap().get("benchmark").is_some());
-        assert!(!is_suite_summary(&item));
-
-        let summary = suite_summary_line(29, 2);
-        assert!(is_suite_summary(&summary));
-        let v = json::parse(&summary).unwrap();
-        assert_eq!(v.get("items").unwrap().as_f64().unwrap(), 29.0);
-        assert_eq!(v.get("errors").unwrap().as_f64().unwrap(), 2.0);
-        assert!(!is_suite_summary(&pong_reply()));
-        assert_eq!(suite_summary_errors(&summary), Some(2));
-        assert_eq!(suite_summary_errors(&suite_summary_line(3, 0)), Some(0));
-        assert_eq!(suite_summary_errors(&pong_reply()), None);
-    }
-
-    #[test]
-    fn key_hex_roundtrips() {
-        for key in [0u64, 7, u64::MAX, 0x8000_0000_0000_0001] {
-            assert_eq!(parse_key_hex(&key_hex(key)).unwrap(), key);
-        }
-        assert!(parse_key_hex("123").is_err());
-        assert!(parse_key_hex("0123456789abcdefg").is_err());
     }
 
     #[test]

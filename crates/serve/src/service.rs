@@ -163,29 +163,6 @@ pub fn find_benchmark(pattern: &str) -> Result<BenchmarkSpec, String> {
 ///
 /// Returns the typed [`ServiceError`] the failure reply is rendered from.
 pub fn prepare(request: &RunRequest) -> Result<Prepared, ServiceError> {
-    let (spec, program, config) = build_request(request)?;
-    let preflight = Pipeline::new(config.clone()).preflight_checked(&program);
-    if preflight.report().has_errors() {
-        return Err(ServiceError::InvalidConfig(
-            preflight.report().clone().into_diagnostics(),
-        ));
-    }
-    let key = response_key(&program, &config);
-    Ok(Prepared {
-        name: spec.name().to_string(),
-        program,
-        config,
-        key,
-        preflight,
-    })
-}
-
-/// The shared front half of [`prepare`]: benchmark resolution, field
-/// validation, and config construction — everything that determines the
-/// content-addressed key, but *not* the preflight analysis.
-fn build_request(
-    request: &RunRequest,
-) -> Result<(BenchmarkSpec, Program, PinPointsConfig), ServiceError> {
     let spec = find_benchmark(&request.bench).map_err(ServiceError::UnknownBench)?;
     if !(request.scale.is_finite() && request.scale > 0.0) {
         return Err(ServiceError::BadRequest(format!(
@@ -225,27 +202,20 @@ fn build_request(
         config.strategy =
             StrategySpec::parse_spec(name).expect("lint-validated strategy specs always parse");
     }
-    Ok((spec, program, config))
-}
-
-/// Computes the content-addressed routing key for a request *without*
-/// running the preflight analysis. For every request [`prepare`] accepts,
-/// this returns the same key `prepare` would (both call `response_key`
-/// on the same `(program, config)` pair), so a router placing requests
-/// by this key agrees with the shard that ultimately serves them.
-/// Requests whose failure is only detectable by preflight (e.g. a zero
-/// slice size) still get a key here — the router forwards them and the
-/// owning shard renders the typed failure reply.
-///
-/// # Errors
-///
-/// Returns the same typed [`ServiceError`] as [`prepare`] for failures
-/// detectable without preflight (unknown benchmark, bad scale, unknown
-/// kmeans mode, malformed strategy spec) — rendering `.reply()` on it
-/// yields a byte-identical line to the one a shard would have produced.
-pub fn route_key(request: &RunRequest) -> Result<u64, ServiceError> {
-    let (_, program, config) = build_request(request)?;
-    Ok(response_key(&program, &config))
+    let preflight = Pipeline::new(config.clone()).preflight_checked(&program);
+    if preflight.report().has_errors() {
+        return Err(ServiceError::InvalidConfig(
+            preflight.report().clone().into_diagnostics(),
+        ));
+    }
+    let key = response_key(&program, &config);
+    Ok(Prepared {
+        name: spec.name().to_string(),
+        program,
+        config,
+        key,
+        preflight,
+    })
 }
 
 /// Runs the full sampling study for a prepared request and renders the
@@ -515,52 +485,6 @@ mod tests {
             .unwrap();
             assert!(!p.preflight.report().has_errors(), "{spec}");
         }
-    }
-
-    #[test]
-    fn route_key_agrees_with_prepare() {
-        // Same key with and without preflight, across config variants.
-        let variants = [
-            tiny_request(),
-            RunRequest {
-                maxk: Some(7),
-                ..tiny_request()
-            },
-            RunRequest {
-                strategy: Some("rss:set_size=30,replicates=2".into()),
-                ..tiny_request()
-            },
-            RunRequest {
-                kmeans: Some("minibatch".into()),
-                ..tiny_request()
-            },
-        ];
-        for req in &variants {
-            assert_eq!(route_key(req).unwrap(), prepare(req).unwrap().key);
-        }
-        // Pre-preflight failures surface the same typed error...
-        let err = route_key(&RunRequest {
-            bench: "nope".into(),
-            ..tiny_request()
-        })
-        .unwrap_err();
-        assert_eq!(err.code(), "unknown-bench");
-        // ...while preflight-only failures still key (any shard renders
-        // the identical typed reply, so placement just needs determinism).
-        let keyed = route_key(&RunRequest {
-            slice: Some(0),
-            ..tiny_request()
-        });
-        assert!(keyed.is_ok());
-        assert_eq!(
-            prepare(&RunRequest {
-                slice: Some(0),
-                ..tiny_request()
-            })
-            .unwrap_err()
-            .code(),
-            "invalid-config"
-        );
     }
 
     #[test]

@@ -204,6 +204,16 @@ fn control_and_failure_replies_are_typed() {
     let bad = client::request_line(&addr, "this is not json").unwrap();
     assert!(bad.contains("\"code\":\"bad-request\""), "{bad}");
 
+    // The daemon speaks run, ping, stats and shutdown only.
+    for line in [
+        r#"{"op":"peer-put","key":"0123456789abcdef","doc":"{}"}"#,
+        r#"{"op":"suite","benches":["omnetpp_s"],"scale":0.002}"#,
+    ] {
+        let reply = client::request_line(&addr, line).unwrap();
+        assert!(reply.contains("\"code\":\"bad-request\""), "{reply}");
+        assert!(reply.contains("unknown op"), "{reply}");
+    }
+
     let unknown = client::request_line(&addr, "{\"op\":\"run\",\"bench\":\"nope\"}").unwrap();
     assert!(unknown.contains("\"code\":\"unknown-bench\""), "{unknown}");
 

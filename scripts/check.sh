@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test (e2ebench)"
+# The end-to-end benchmark builds against the serve and core APIs in its
+# own workspace; its tests fail here when an API change breaks it.
+cargo test --offline -q --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test (property suite)"
 cargo test -q -p sampsim --features property-tests --test property_tests
 
@@ -97,38 +102,6 @@ cmp "$serve_dir/direct.json" "$serve_dir/reply.json" \
 "$sampsim_bin" request --stats --addr "$addr" > /dev/null
 "$sampsim_bin" request --shutdown --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "serve smoke: daemon exited non-zero" >&2; exit 1; }
-
-echo "==> sampsim fleet smoke (2-shard routed reply == run stdout)"
-# Spins a 2-shard fleet on an ephemeral port, routes one request through
-# the router, checks the reply is byte-identical to `sampsim run`
-# stdout, queries fleet-wide stats, then shuts the whole topology down
-# gracefully and requires exit code 0.
-"$sampsim_bin" fleet --shards 2 --addr 127.0.0.1:0 --jobs 2 \
-    > "$serve_dir/fleet_announce" 2> /dev/null &
-fleet_pid=$!
-fleet_addr=""
-for _ in $(seq 1 100); do
-    fleet_addr="$(sed -n 's/^sampsim-fleet (2 shards) listening on //p' "$serve_dir/fleet_announce")"
-    [ -n "$fleet_addr" ] && break
-    sleep 0.1
-done
-[ -n "$fleet_addr" ] || { echo "fleet smoke: router never announced its address" >&2; exit 1; }
-"$sampsim_bin" request "${bench_args[@]}" --addr "$fleet_addr" > "$serve_dir/fleet_reply.json" 2> /dev/null
-cmp "$serve_dir/direct.json" "$serve_dir/fleet_reply.json" \
-    || { echo "fleet smoke: routed reply != run stdout" >&2; exit 1; }
-"$sampsim_bin" request --stats --addr "$fleet_addr" | grep -q '"shards":2' \
-    || { echo "fleet smoke: stats reply lacks fleet fields" >&2; exit 1; }
-"$sampsim_bin" request --shutdown --addr "$fleet_addr" > /dev/null
-wait "$fleet_pid" || { echo "fleet smoke: fleet exited non-zero" >&2; exit 1; }
-
-echo "==> sampsim loadgen --quick (serving-stack benchmark + schema gate)"
-# Drives a quick concurrent cold/warm load through an ephemeral
-# in-process fleet, validates the fresh report, and validates the
-# committed BENCH_serve.json baseline against the same schema.
-loadgen_report="$serve_dir/loadgen.json"
-"$sampsim_bin" loadgen --quick -o "$loadgen_report" > /dev/null 2> /dev/null
-"$sampsim_bin" loadgen --validate "$loadgen_report"
-"$sampsim_bin" loadgen --validate BENCH_serve.json
 
 echo "==> sampsim compare smoke (all strategies vs whole-program truth)"
 # Quick-scale cross-strategy study on one benchmark, then validate the
