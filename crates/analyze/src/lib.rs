@@ -51,7 +51,7 @@ pub use config::{
 };
 pub use diag::{Diagnostic, Location, Report, Rule, Severity};
 pub use fixpoint::{solve, BitSet, JoinSemiLattice};
-pub use render::{diagnostic_json, render_human, render_json_lines};
+pub use render::{diagnostic_json, render_human, render_json_lines, DIAGNOSTIC};
 pub use soundness::{
     lint_soundness, materialized_bytes_estimate, predicted_instructions, SoundnessInput,
     CLT_MIN_SAMPLES, DEFAULT_MATERIALIZED_BUDGET_BYTES, WEIGHT_CONCENTRATION_BOUND,

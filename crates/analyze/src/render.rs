@@ -8,7 +8,8 @@
 //!  "workload":"505.mcf_r","item":"phase 3"},"message":"...","help":"..."}
 //! ```
 
-use crate::diag::{Diagnostic, Location, Report, Severity};
+use crate::diag::{Diagnostic, Location, Report, Rule, Severity};
+use sampsim_util::json::{string, Schema};
 use std::fmt::Write;
 
 /// Renders a report in `rustc`-style human-readable form.
@@ -41,62 +42,54 @@ pub fn render_json_lines(report: &Report) -> String {
     out
 }
 
+/// The schema of one [`diagnostic_json`] object, shared by every reader
+/// of diagnostics: the `lint --format json` line check and the
+/// `soundness` array of a plan report.
+pub const DIAGNOSTIC: Schema = {
+    use Schema::*;
+    // `item` is empty when the diagnostic is about the whole workload.
+    const WORKLOAD: Schema = Object(&[
+        ("kind", Tag("workload")),
+        ("workload", NonEmptyStr),
+        ("item", Str),
+    ]);
+    const CONFIG: Schema = Object(&[("kind", Tag("config")), ("field", NonEmptyStr)]);
+    const ARTIFACT: Schema = Object(&[("kind", Tag("artifact")), ("path", NonEmptyStr)]);
+    Object(&[
+        ("code", OneOf(Rule::CODES)),
+        ("severity", OneOf(&["error", "warning", "note"])),
+        ("location", Tagged(&[WORKLOAD, CONFIG, ARTIFACT])),
+        ("message", NonEmptyStr),
+        ("help", NonEmptyStr),
+    ])
+};
+
 /// Renders one diagnostic as a single-line JSON object.
 pub fn diagnostic_json(d: &Diagnostic) -> String {
-    let mut s = String::with_capacity(128);
-    s.push_str("{\"code\":");
-    json_string(&mut s, d.rule.code());
-    s.push_str(",\"severity\":");
-    json_string(&mut s, d.severity.label());
-    s.push_str(",\"location\":");
-    location_json(&mut s, &d.location);
-    s.push_str(",\"message\":");
-    json_string(&mut s, &d.message);
-    s.push_str(",\"help\":");
-    json_string(&mut s, d.help);
-    s.push('}');
-    s
+    format!(
+        "{{\"code\":{},\"severity\":{},\"location\":{},\"message\":{},\"help\":{}}}",
+        string(d.rule.code()),
+        string(d.severity.label()),
+        location_json(&d.location),
+        string(&d.message),
+        string(d.help)
+    )
 }
 
-fn location_json(s: &mut String, loc: &Location) {
+fn location_json(loc: &Location) -> String {
     match loc {
-        Location::Workload { workload, item } => {
-            s.push_str("{\"kind\":\"workload\",\"workload\":");
-            json_string(s, workload);
-            s.push_str(",\"item\":");
-            json_string(s, item);
-            s.push('}');
-        }
+        Location::Workload { workload, item } => format!(
+            "{{\"kind\":\"workload\",\"workload\":{},\"item\":{}}}",
+            string(workload),
+            string(item)
+        ),
         Location::Config { field } => {
-            s.push_str("{\"kind\":\"config\",\"field\":");
-            json_string(s, field);
-            s.push('}');
+            format!("{{\"kind\":\"config\",\"field\":{}}}", string(field))
         }
         Location::Artifact { path } => {
-            s.push_str("{\"kind\":\"artifact\",\"path\":");
-            json_string(s, path);
-            s.push('}');
+            format!("{{\"kind\":\"artifact\",\"path\":{}}}", string(path))
         }
     }
-}
-
-/// Appends `value` as a JSON string literal (RFC 8259 escaping).
-fn json_string(s: &mut String, value: &str) {
-    s.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 #[cfg(test)]
@@ -136,10 +129,25 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping() {
-        let mut s = String::new();
-        json_string(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+    fn json_lines_conform_to_the_diagnostic_schema() {
+        let mut report = sample();
+        report.push(Diagnostic::new(
+            Rule::EmptyPhase,
+            Location::workload("whole"),
+            "tricky \"quoted\" \\ text\nwith\ttabs \u{1}",
+        ));
+        report.push(Diagnostic::new(
+            Rule::EmptyPhase,
+            Location::config("simpoint.max_k"),
+            "c",
+        ));
+        for line in render_json_lines(&report).lines() {
+            sampsim_util::json::validate(line, &DIAGNOSTIC).unwrap();
+        }
+        let bad = diagnostic_json(&report.diagnostics()[0]).replace("\"warning\"", "\"fatal\"");
+        let bad = bad.replace("\"error\"", "\"fatal\"");
+        let err = sampsim_util::json::validate(&bad, &DIAGNOSTIC).unwrap_err();
+        assert!(err.contains("severity"), "{err}");
     }
 
     #[test]

@@ -430,6 +430,12 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
         }
     }
     let mut positionals = positionals.into_iter();
+    // `compare` and `plan` take a benchmark or `--validate FILE`, not both.
+    let bench_or_validate = |cmd: &str, bench: Option<String>| match (&bench, &validate) {
+        (None, None) => Err(format!("{cmd} needs a benchmark (or --validate <FILE>)")),
+        (Some(_), Some(_)) => Err(format!("{cmd} --validate takes no benchmark")),
+        _ => Ok(bench),
+    };
     let command = match positionals.next().as_deref() {
         None | Some("help") => Command::Help,
         Some("list") => Command::List,
@@ -450,35 +456,17 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
         Some("report") => Command::Report {
             bench: positionals.next().ok_or("report needs a benchmark")?,
         },
-        Some("compare") => {
-            let bench = positionals.next();
-            if validate.is_none() && bench.is_none() {
-                return Err("compare needs a benchmark (or --validate <FILE>)".into());
-            }
-            if validate.is_some() && bench.is_some() {
-                return Err("compare --validate takes no benchmark".into());
-            }
-            Command::Compare {
-                bench,
-                out,
-                reps,
-                validate,
-            }
-        }
-        Some("plan") => {
-            let bench = positionals.next();
-            if validate.is_none() && bench.is_none() {
-                return Err("plan needs a benchmark (or --validate <FILE>)".into());
-            }
-            if validate.is_some() && bench.is_some() {
-                return Err("plan --validate takes no benchmark".into());
-            }
-            Command::Plan {
-                bench,
-                out,
-                validate,
-            }
-        }
+        Some("compare") => Command::Compare {
+            bench: bench_or_validate("compare", positionals.next())?,
+            out,
+            reps,
+            validate,
+        },
+        Some("plan") => Command::Plan {
+            bench: bench_or_validate("plan", positionals.next())?,
+            out,
+            validate,
+        },
         Some("trace") => Command::Trace {
             bench: positionals.next().ok_or("trace needs a benchmark")?,
             out: out.take().ok_or("trace needs -o FILE")?,

@@ -53,6 +53,17 @@ fn create_report_file(path: &str) -> Result<std::fs::File, UsageError> {
     std::fs::File::create(path).map_err(|e| UsageError(format!("cannot write {path}: {e}")))
 }
 
+/// `--validate FILE` for the report commands: checks `path` with
+/// `validate` and prints `{path}: valid {what}` on stdout. An unreadable
+/// file or an invalid report is a usage-class failure (exit 2).
+fn validate_file(path: &str, validate: fn(&str) -> Result<(), String>, what: &str) -> CmdResult {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| UsageError(format!("cannot read {path}: {e}")))?;
+    validate(&text).map_err(|e| UsageError(format!("{path}: {e}")))?;
+    println!("{path}: valid {what}");
+    Ok(())
+}
+
 /// Resolves `--strategy` against the engine registry. A spec that does
 /// not parse — unregistered name or malformed parameters — is a
 /// usage-class failure (SA130, exit 2), same class as a bad flag value,

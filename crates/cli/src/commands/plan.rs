@@ -1,6 +1,6 @@
 //! `sampsim plan` — the static cost/precision planner.
 
-use super::{build, create_report_file, pipeline_config, CmdResult, UsageError};
+use super::{build, create_report_file, pipeline_config, validate_file, CmdResult};
 use crate::args::Options;
 use sampsim_core::plan::{self, SCHEMA};
 use sampsim_serve::service::find_benchmark;
@@ -26,11 +26,7 @@ pub fn plan(
     options: &Options,
 ) -> CmdResult {
     if let Some(path) = validate {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| UsageError(format!("cannot read {path}: {e}")))?;
-        plan::validate_report(text.trim()).map_err(|e| UsageError(format!("{path}: {e}")))?;
-        println!("{path}: valid {SCHEMA} report");
-        return Ok(());
+        return validate_file(path, plan::validate_report, &format!("{SCHEMA} report"));
     }
     let bench = bench.expect("the parser requires a benchmark without --validate");
     let spec = find_benchmark(bench)?;

@@ -913,3 +913,39 @@ fn run_accepts_registered_strategies_and_rejects_unknown_names() {
     assert!(err.contains("SA130"), "{err}");
     assert!(err.contains("frobnicate"), "{err}");
 }
+
+#[test]
+fn perf_validate_accepts_the_baseline_and_rejects_an_empty_scaling_grid() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+    let out = sampsim()
+        .args(["perf", "--validate", baseline])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("valid sampsim-perf-kernels/v2 report"),
+        "{text}"
+    );
+
+    let report = std::fs::read_to_string(baseline).unwrap();
+    let cut = report.find("\"scaling\":[").unwrap();
+    let emptied = format!("{}\"scaling\":[]}}\n", &report[..cut]);
+    let dir = std::env::temp_dir().join(format!("sampsim-cli-perf-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let broken = dir.join("emptied.json");
+    std::fs::write(&broken, emptied).unwrap();
+    let out = sampsim()
+        .args(["perf", "--validate"])
+        .arg(&broken)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "invalid report must exit 2");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("scaling"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -39,7 +39,7 @@ use sampsim_simpoint::{
     STRATEGY_NAMES,
 };
 use sampsim_uarch::CoreConfig;
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{self, Schema};
 use sampsim_util::stats::{relative_error_pct, Summary};
 use sampsim_workload::Program;
 
@@ -246,42 +246,35 @@ pub fn compare_strategies(
 
 impl CompareReport {
     /// Renders the single-line `sampsim-compare/v1` JSON document (no
-    /// trailing newline). Floats go through `{:?}` so the text is the
-    /// shortest exact representation of the bit pattern — byte-stable
-    /// across job counts because every input is.
+    /// trailing newline). Floats go through [`json::number`] so the text
+    /// is the shortest exact representation of the bit pattern —
+    /// byte-stable across job counts because every input is.
     pub fn to_json(&self) -> String {
-        fn json_f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        }
         fn estimate(e: &Estimate) -> String {
             format!(
                 "{{\"mean\":{},\"ci95\":{},\"error_pct\":{}}}",
-                json_f(e.mean),
-                json_f(e.ci95),
-                json_f(e.error_pct)
+                json::number(e.mean),
+                json::number(e.ci95),
+                json::number(e.error_pct)
             )
         }
         let truth_mr = self.truth.miss_rates.expect("truth carries miss rates");
         let truth = format!(
             "{{\"cpi\":{},\"miss_rates_pct\":{{\"l1i\":{},\"l1d\":{},\"l2\":{},\"l3\":{}}}}}",
-            json_f(self.truth.cpi.expect("truth carries CPI")),
-            json_f(truth_mr.l1i),
-            json_f(truth_mr.l1d),
-            json_f(truth_mr.l2),
-            json_f(truth_mr.l3)
+            json::number(self.truth.cpi.expect("truth carries CPI")),
+            json::number(truth_mr.l1i),
+            json::number(truth_mr.l1d),
+            json::number(truth_mr.l2),
+            json::number(truth_mr.l3)
         );
         let rows: Vec<String> = self
             .strategies
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"strategy\":\"{}\",\"regions\":{},\"replicates\":{},\"cpi\":{},\
+                    "{{\"strategy\":{},\"regions\":{},\"replicates\":{},\"cpi\":{},\
                      \"miss_rates_pct\":{{\"l1i\":{},\"l1d\":{},\"l2\":{},\"l3\":{}}}}}",
-                    s.strategy,
+                    json::string(&s.strategy),
                     s.regions,
                     s.replicates,
                     estimate(&s.cpi),
@@ -293,10 +286,10 @@ impl CompareReport {
             })
             .collect();
         format!(
-            "{{\"schema\":\"{}\",\"bench\":\"{}\",\"slices\":{},\"slice_size\":{},\
+            "{{\"schema\":\"{}\",\"bench\":{},\"slices\":{},\"slice_size\":{},\
              \"replicates\":{},\"truth\":{},\"strategies\":[{}]}}",
             SCHEMA,
-            self.bench,
+            json::string(&self.bench),
             self.slices,
             self.slice_size,
             self.replicates,
@@ -306,116 +299,55 @@ impl CompareReport {
     }
 }
 
-fn check_estimate(v: &Value, what: &str) -> Result<(), String> {
-    for field in ["mean", "ci95", "error_pct"] {
-        v.get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{what}.{field}: missing or not a number"))?;
-    }
-    Ok(())
-}
+/// One metric's statistics in a strategy row.
+const ESTIMATE: Schema = {
+    use Schema::*;
+    Object(&[
+        ("mean", Num),
+        ("ci95", AtLeast(0.0)),
+        ("error_pct", AtLeast(0.0)),
+    ])
+};
 
-fn check_miss_rates(v: &Value, what: &str, as_estimates: bool) -> Result<(), String> {
-    let mr = v
-        .get("miss_rates_pct")
-        .ok_or_else(|| format!("{what}.miss_rates_pct: missing"))?;
-    for level in ["l1i", "l1d", "l2", "l3"] {
-        let entry = mr
-            .get(level)
-            .ok_or_else(|| format!("{what}.miss_rates_pct.{level}: missing"))?;
-        if as_estimates {
-            check_estimate(entry, &format!("{what}.miss_rates_pct.{level}"))?;
-        } else if entry.as_f64().is_none() {
-            return Err(format!("{what}.miss_rates_pct.{level}: not a number"));
-        }
-    }
-    Ok(())
-}
+/// The `sampsim-compare/v1` document [`CompareReport::to_json`] writes.
+const REPORT: Schema = {
+    use Schema::*;
+    const TRUTH_RATES: Schema = Object(&[("l1i", Num), ("l1d", Num), ("l2", Num), ("l3", Num)]);
+    const ROW_RATES: Schema = Object(&[
+        ("l1i", ESTIMATE),
+        ("l1d", ESTIMATE),
+        ("l2", ESTIMATE),
+        ("l3", ESTIMATE),
+    ]);
+    const ROW: Schema = Object(&[
+        ("strategy", Str),
+        ("regions", AtLeast(1.0)),
+        ("replicates", AtLeast(1.0)),
+        ("cpi", ESTIMATE),
+        ("miss_rates_pct", ROW_RATES),
+    ]);
+    Object(&[
+        ("schema", Tag(SCHEMA)),
+        ("bench", NonEmptyStr),
+        ("slices", AtLeast(1.0)),
+        ("slice_size", AtLeast(1.0)),
+        ("replicates", AtLeast(1.0)),
+        (
+            "truth",
+            Object(&[("cpi", Num), ("miss_rates_pct", TRUTH_RATES)]),
+        ),
+        ("strategies", Keyed("strategy", STRATEGY_NAMES, &ROW)),
+    ])
+};
 
-/// Validates a compare report against the `sampsim-compare/v1` schema and
-/// the strategy registry.
+/// Validates a compare report against the `sampsim-compare/v1` schema,
+/// whose `strategies` rows must cover the registry exactly.
 ///
 /// # Errors
 ///
-/// Returns a description of the first violation: wrong schema tag,
-/// missing or malformed fields, a registered strategy absent from the
-/// report, or a reported strategy the registry does not know. The
-/// registry checks make `scripts/check.sh` fail loudly when a strategy is
-/// added to (or dropped from) the engine without the report following.
+/// Every violation, each naming its field.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("schema: missing or not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema: expected \"{SCHEMA}\", got \"{schema}\""));
-    }
-    doc.get("bench")
-        .and_then(Value::as_str)
-        .ok_or("bench: missing or not a string")?;
-    for field in ["slices", "slice_size", "replicates"] {
-        let v = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{field}: missing or not a number"))?;
-        if v < 1.0 {
-            return Err(format!("{field}: must be >= 1, got {v}"));
-        }
-    }
-    let truth = doc.get("truth").ok_or("truth: missing")?;
-    truth
-        .get("cpi")
-        .and_then(Value::as_f64)
-        .ok_or("truth.cpi: missing or not a number")?;
-    check_miss_rates(truth, "truth", false)?;
-
-    let strategies = doc
-        .get("strategies")
-        .and_then(Value::as_array)
-        .ok_or("strategies: missing or not an array")?;
-    let mut reported = Vec::with_capacity(strategies.len());
-    for (i, row) in strategies.iter().enumerate() {
-        let what = format!("strategies[{i}]");
-        let name = row
-            .get("strategy")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{what}.strategy: missing or not a string"))?;
-        if !STRATEGY_NAMES.contains(&name) {
-            return Err(format!(
-                "{what}.strategy: \"{name}\" is not a registered strategy \
-                 (registry: {STRATEGY_NAMES:?})"
-            ));
-        }
-        if reported.contains(&name.to_string()) {
-            return Err(format!("{what}.strategy: \"{name}\" appears twice"));
-        }
-        for field in ["regions", "replicates"] {
-            let v = row
-                .get(field)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{what}.{field}: missing or not a number"))?;
-            if v < 1.0 {
-                return Err(format!("{what}.{field}: must be >= 1, got {v}"));
-            }
-        }
-        check_estimate(
-            row.get("cpi")
-                .ok_or_else(|| format!("{what}.cpi: missing"))?,
-            &format!("{what}.cpi"),
-        )?;
-        check_miss_rates(row, &what, true)?;
-        reported.push(name.to_string());
-    }
-    for required in STRATEGY_NAMES {
-        if !reported.iter().any(|n| n == required) {
-            return Err(format!(
-                "strategies: registered strategy \"{required}\" is missing from the report \
-                 (reported: {reported:?})"
-            ));
-        }
-    }
-    Ok(())
+    json::validate(text, &REPORT)
 }
 
 #[cfg(test)]

@@ -47,10 +47,10 @@ use crate::error::CoreError;
 use crate::pipeline::PinPointsConfig;
 use sampsim_analyze::{
     diagnostic_json, lint_soundness, predicted_instructions, Diagnostic, SoundnessInput,
-    StaticBbvBounds,
+    StaticBbvBounds, DIAGNOSTIC,
 };
 use sampsim_simpoint::{StrategySpec, STRATEGY_NAMES};
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{self, Schema};
 use sampsim_workload::Program;
 
 /// Schema identifier stamped into every plan report.
@@ -240,130 +240,74 @@ pub fn plan_strategy(
 
 impl PlanReport {
     /// Renders the single-line `sampsim-plan/v1` JSON document (no
-    /// trailing newline). Floats go through `{:?}` (shortest exact
-    /// representation; non-finite renders as `null`). Every field is
-    /// statically derived, so the bytes never depend on `--jobs`.
+    /// trailing newline). Floats go through [`json::number`] (shortest
+    /// exact representation; non-finite renders as `null`). Every field
+    /// is statically derived, so the bytes never depend on `--jobs`.
     pub fn to_json(&self) -> String {
-        fn json_f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        }
         let ci: Vec<String> = self
             .ci_bound_pct
             .named()
             .iter()
-            .map(|(name, bound)| format!("\"{name}\":{}", json_f(*bound)))
+            .map(|(name, bound)| format!("\"{name}\":{}", json::number(*bound)))
             .collect();
         let soundness: Vec<String> = self.soundness.iter().map(diagnostic_json).collect();
         format!(
-            "{{\"schema\":\"{}\",\"bench\":\"{}\",\"slices\":{},\"slice_size\":{},\
-             \"strategy\":\"{}\",\"whole_instructions\":{},\"regions\":{},\"samples\":{},\
+            "{{\"schema\":\"{}\",\"bench\":{},\"slices\":{},\"slice_size\":{},\
+             \"strategy\":{},\"whole_instructions\":{},\"regions\":{},\"samples\":{},\
              \"replicates\":{},\"predicted_instructions\":{},\"speedup_bound\":{},\
              \"max_weight_bound\":{},\"ci_bound_pct\":{{{}}},\"soundness\":[{}]}}",
             SCHEMA,
-            self.bench,
+            json::string(&self.bench),
             self.slices,
             self.slice_size,
-            self.strategy,
+            json::string(&self.strategy),
             self.whole_instructions,
             self.regions,
             self.samples,
             self.replicates,
             self.predicted_instructions,
-            json_f(self.speedup_bound),
-            json_f(self.max_weight_bound),
+            json::number(self.speedup_bound),
+            json::number(self.max_weight_bound),
             ci.join(","),
             soundness.join(",")
         )
     }
 }
 
-/// Validates a plan report against the `sampsim-plan/v1` schema and the
-/// strategy registry.
+/// The `sampsim-plan/v1` document [`PlanReport::to_json`] writes.
+const REPORT: Schema = {
+    use Schema::*;
+    const B: Schema = AtLeast(0.0);
+    Object(&[
+        ("schema", Tag(SCHEMA)),
+        ("bench", NonEmptyStr),
+        ("slices", AtLeast(1.0)),
+        ("slice_size", AtLeast(1.0)),
+        ("strategy", OneOf(STRATEGY_NAMES)),
+        ("whole_instructions", AtLeast(0.0)),
+        ("regions", AtLeast(1.0)),
+        ("samples", AtLeast(1.0)),
+        ("replicates", AtLeast(1.0)),
+        ("predicted_instructions", AtLeast(0.0)),
+        ("speedup_bound", AtLeast(0.0)),
+        // `null` when the strategy has no static weight guarantee.
+        ("max_weight_bound", OrNull(&Above(0.0))),
+        (
+            "ci_bound_pct",
+            Object(&[("cpi", B), ("l1i", B), ("l1d", B), ("l2", B), ("l3", B)]),
+        ),
+        ("soundness", Array(&DIAGNOSTIC, 0)),
+    ])
+};
+
+/// Validates a plan report against the `sampsim-plan/v1` schema; each
+/// `soundness` finding must meet [`DIAGNOSTIC`], like a lint JSON line.
 ///
 /// # Errors
 ///
-/// Returns a description of the first violation: wrong schema tag,
-/// missing or malformed fields, an unregistered strategy, negative
-/// bounds, or a malformed soundness array.
+/// Every violation, each naming its field.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("schema: missing or not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema: expected \"{SCHEMA}\", got \"{schema}\""));
-    }
-    doc.get("bench")
-        .and_then(Value::as_str)
-        .ok_or("bench: missing or not a string")?;
-    let name = doc
-        .get("strategy")
-        .and_then(Value::as_str)
-        .ok_or("strategy: missing or not a string")?;
-    if !STRATEGY_NAMES.contains(&name) {
-        return Err(format!(
-            "strategy: \"{name}\" is not a registered strategy (registry: {STRATEGY_NAMES:?})"
-        ));
-    }
-    for field in ["slices", "slice_size", "regions", "samples", "replicates"] {
-        let v = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{field}: missing or not a number"))?;
-        if v < 1.0 {
-            return Err(format!("{field}: must be >= 1, got {v}"));
-        }
-    }
-    for field in [
-        "whole_instructions",
-        "predicted_instructions",
-        "speedup_bound",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{field}: missing or not a number"))?;
-        if v < 0.0 {
-            return Err(format!("{field}: must be >= 0, got {v}"));
-        }
-    }
-    // max_weight_bound may legitimately be null (no static guarantee).
-    match doc.get("max_weight_bound") {
-        Some(Value::Null) => {}
-        Some(v) if v.as_f64().is_some_and(|b| b > 0.0) => {}
-        _ => return Err("max_weight_bound: missing, or not null / a positive number".into()),
-    }
-    let ci = doc.get("ci_bound_pct").ok_or("ci_bound_pct: missing")?;
-    for metric in ["cpi", "l1i", "l1d", "l2", "l3"] {
-        let v = ci
-            .get(metric)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("ci_bound_pct.{metric}: missing or not a number"))?;
-        if v < 0.0 {
-            return Err(format!("ci_bound_pct.{metric}: must be >= 0, got {v}"));
-        }
-    }
-    let soundness = doc
-        .get("soundness")
-        .and_then(Value::as_array)
-        .ok_or("soundness: missing or not an array")?;
-    for (i, d) in soundness.iter().enumerate() {
-        for field in ["code", "severity", "message", "help"] {
-            d.get(field)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("soundness[{i}].{field}: missing or not a string"))?;
-        }
-        d.get("location")
-            .and_then(|l| l.get("kind"))
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("soundness[{i}].location: missing or missing a kind"))?;
-    }
-    Ok(())
+    json::validate(text, &REPORT)
 }
 
 /// Truth values (in percent / absolute CPI) below this threshold exempt
@@ -391,30 +335,13 @@ pub fn check_against_compare(
         let mut checks: Vec<(&'static str, f64, f64, f64)> =
             vec![("cpi", row.cpi.error_pct, plan.ci_bound_pct.cpi, truth_cpi)];
         if let Some(mr) = truth_mr {
-            checks.push((
-                "l1i",
-                row.miss_rates.l1i.error_pct,
-                plan.ci_bound_pct.l1i,
-                mr.l1i,
-            ));
-            checks.push((
-                "l1d",
-                row.miss_rates.l1d.error_pct,
-                plan.ci_bound_pct.l1d,
-                mr.l1d,
-            ));
-            checks.push((
-                "l2",
-                row.miss_rates.l2.error_pct,
-                plan.ci_bound_pct.l2,
-                mr.l2,
-            ));
-            checks.push((
-                "l3",
-                row.miss_rates.l3.error_pct,
-                plan.ci_bound_pct.l3,
-                mr.l3,
-            ));
+            let (rates, ci) = (&row.miss_rates, &plan.ci_bound_pct);
+            checks.extend([
+                ("l1i", rates.l1i.error_pct, ci.l1i, mr.l1i),
+                ("l1d", rates.l1d.error_pct, ci.l1d, mr.l1d),
+                ("l2", rates.l2.error_pct, ci.l2, mr.l2),
+                ("l3", rates.l3.error_pct, ci.l3, mr.l3),
+            ]);
         }
         for (metric, observed, bound, truth) in checks {
             if truth < ORACLE_TRUTH_FLOOR {

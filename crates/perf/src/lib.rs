@@ -22,8 +22,8 @@
 //! would need ([`sampsim_analyze::materialized_bytes_estimate`]).
 //!
 //! No external crates: timing is `std::time::Instant`, the report is a
-//! hand-assembled JSON document, and validation reuses
-//! [`sampsim_util::json`].
+//! hand-assembled JSON document, and [`validate_report`] checks it
+//! against a schema declared with [`sampsim_util::json::Schema`].
 //!
 //! Wall-clock numbers are inherently machine-dependent; the report is for
 //! trend tracking, not for byte-stable comparison. Everything *other*
@@ -46,7 +46,7 @@ use sampsim_simpoint::{
     MINIBATCH_BATCH,
 };
 use sampsim_spec2017::{benchmark, BenchmarkId};
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{self, Schema, Value};
 use sampsim_util::rng::SplitMix64;
 use sampsim_util::scale::Scale;
 use std::fmt;
@@ -732,34 +732,26 @@ pub fn run_kernels(
     })
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl PerfReport {
-    /// Renders the report as a JSON document (hand-assembled; floats use
-    /// Rust's shortest-round-trip `{:?}` like every sampsim writer).
+    /// Renders the report as a JSON document (hand-assembled; floats go
+    /// through [`json::number`] like every sampsim writer).
     pub fn to_json(&self) -> String {
         let kernels: Vec<String> = self
             .kernels
             .iter()
             .map(|k| {
-                let mut fields = vec![format!("\"name\":\"{}\"", k.name)];
+                let mut fields = vec![format!("\"name\":{}", json::string(k.name))];
                 if let Some(r) = k.reference_ms {
-                    fields.push(format!("\"reference_ms\":{}", json_f(r)));
+                    fields.push(format!("\"reference_ms\":{}", json::number(r)));
                 }
-                fields.push(format!("\"optimized_ms\":{}", json_f(k.optimized_ms)));
+                fields.push(format!("\"optimized_ms\":{}", json::number(k.optimized_ms)));
                 if let Some(s) = k.speedup {
-                    fields.push(format!("\"speedup\":{}", json_f(s)));
+                    fields.push(format!("\"speedup\":{}", json::number(s)));
                 }
                 let details: Vec<String> = k
                     .details
                     .iter()
-                    .map(|(name, v)| format!("\"{name}\":{}", json_f(*v)))
+                    .map(|(name, v)| format!("\"{name}\":{}", json::number(*v)))
                     .collect();
                 fields.push(format!("\"details\":{{{}}}", details.join(",")));
                 format!("{{{}}}", fields.join(","))
@@ -778,18 +770,18 @@ impl PerfReport {
                      \"materialized_estimate_bytes\":{}}}",
                     p.slices,
                     p.max_k,
-                    json_f(p.wall_ms),
-                    json_f(p.ns_per_slice),
-                    json_f(p.centroid_checksum),
+                    json::number(p.wall_ms),
+                    json::number(p.ns_per_slice),
+                    json::number(p.centroid_checksum),
                     rss,
                     p.materialized_estimate_bytes
                 )
             })
             .collect();
         format!(
-            "{{\"schema\":\"{}\",\"benchmark\":\"{}\",\"quick\":{},\"num_slices\":{},\"dim\":{},\"kernels\":[{}],\"scaling\":[{}]}}\n",
+            "{{\"schema\":\"{}\",\"benchmark\":{},\"quick\":{},\"num_slices\":{},\"dim\":{},\"kernels\":[{}],\"scaling\":[{}]}}\n",
             SCHEMA,
-            self.benchmark,
+            json::string(&self.benchmark),
             self.quick,
             self.num_slices,
             self.dim,
@@ -799,95 +791,45 @@ impl PerfReport {
     }
 }
 
-fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{what}: missing \"{key}\""))
-}
+/// The v2 document [`PerfReport::to_json`] writes: *every* kernel, the
+/// cache probe included, carries a reference timing and a speedup.
+const REPORT: Schema = {
+    use Schema::*;
+    const KERNEL: Schema = Object(&[
+        ("name", Str),
+        ("reference_ms", AtLeast(0.0)),
+        ("optimized_ms", AtLeast(0.0)),
+        ("speedup", Above(0.0)),
+        ("details", NumMap),
+    ]);
+    const POINT: Schema = Object(&[
+        ("slices", AtLeast(1.0)),
+        ("max_k", AtLeast(1.0)),
+        ("wall_ms", AtLeast(0.0)),
+        ("ns_per_slice", AtLeast(0.0)),
+        ("centroid_checksum", Num),
+        ("streamed_rss_delta_bytes", OrNull(&AtLeast(0.0))),
+        ("materialized_estimate_bytes", AtLeast(0.0)),
+    ]);
+    const KERNELS: &[&str] = &["kmeans_sweep", "bbv_projection", "cache_access_rw"];
+    Object(&[
+        ("schema", Tag(SCHEMA)),
+        ("benchmark", NonEmptyStr),
+        ("quick", Bool),
+        ("num_slices", AtLeast(1.0)),
+        ("dim", AtLeast(1.0)),
+        ("kernels", Keyed("name", KERNELS, &KERNEL)),
+        ("scaling", Array(&POINT, 1)),
+    ])
+};
 
-/// Validates a `BENCH_kernels.json` document against the v2 schema:
-/// schema tag, benchmark name, the three kernels each with a finite
-/// reference timing and speedup, and a non-empty scaling grid whose
-/// points carry valid rates and the materialized-path estimate.
+/// Validates a `BENCH_kernels.json` document against the v2 schema.
 ///
 /// # Errors
 ///
-/// A description of the first problem found.
+/// Every violation, each naming its field.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = field(&doc, "schema", "report")?
-        .as_str()
-        .ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema is '{schema}', expected '{SCHEMA}'"));
-    }
-    field(&doc, "benchmark", "report")?
-        .as_str()
-        .ok_or("benchmark is not a string")?;
-    field(&doc, "num_slices", "report")?
-        .as_f64()
-        .ok_or("num_slices is not a number")?;
-    let kernels = field(&doc, "kernels", "report")?
-        .as_array()
-        .ok_or("kernels is not an array")?;
-    let mut seen = Vec::new();
-    for kernel in kernels {
-        let name = field(kernel, "name", "kernel")?
-            .as_str()
-            .ok_or("kernel name is not a string")?;
-        let ms = field(kernel, "optimized_ms", name)?
-            .as_f64()
-            .ok_or_else(|| format!("{name}: optimized_ms is not a number"))?;
-        if !ms.is_finite() || ms < 0.0 {
-            return Err(format!("{name}: optimized_ms {ms} is not a valid timing"));
-        }
-        // v2: every kernel carries a reference and a speedup — the cache
-        // probe included, timed against the frozen reference model.
-        let speedup = field(kernel, "speedup", name)?
-            .as_f64()
-            .ok_or_else(|| format!("{name}: speedup is not a number"))?;
-        if !speedup.is_finite() || speedup <= 0.0 {
-            return Err(format!("{name}: speedup {speedup} is not valid"));
-        }
-        field(kernel, "reference_ms", name)?
-            .as_f64()
-            .ok_or_else(|| format!("{name}: reference_ms is not a number"))?;
-        field(kernel, "details", name)?;
-        seen.push(name.to_string());
-    }
-    for required in ["kmeans_sweep", "bbv_projection", "cache_access_rw"] {
-        if !seen.iter().any(|s| s == required) {
-            return Err(format!("kernel \"{required}\" is missing"));
-        }
-    }
-    let scaling = field(&doc, "scaling", "report")?
-        .as_array()
-        .ok_or("scaling is not an array")?;
-    if scaling.is_empty() {
-        return Err("scaling grid is empty".to_string());
-    }
-    for point in scaling {
-        let slices = field(point, "slices", "scaling point")?
-            .as_f64()
-            .ok_or("scaling point: slices is not a number")?;
-        if slices < 1.0 {
-            return Err(format!("scaling point: slices {slices} is not positive"));
-        }
-        field(point, "max_k", "scaling point")?
-            .as_f64()
-            .ok_or("scaling point: max_k is not a number")?;
-        for key in ["wall_ms", "ns_per_slice", "centroid_checksum"] {
-            let v = field(point, key, "scaling point")?
-                .as_f64()
-                .ok_or_else(|| format!("scaling point: {key} is not a number"))?;
-            if !v.is_finite() {
-                return Err(format!("scaling point: {key} {v} is not finite"));
-            }
-        }
-        field(point, "materialized_estimate_bytes", "scaling point")?
-            .as_f64()
-            .ok_or("scaling point: materialized_estimate_bytes is not a number")?;
-    }
-    Ok(())
+    json::validate(text, &REPORT)
 }
 
 fn detail(kernel: &Value, key: &str) -> Option<f64> {
@@ -1190,6 +1132,44 @@ mod tests {
         assert!(validate_report(&no_scaling)
             .unwrap_err()
             .contains("scaling"));
+    }
+
+    /// The committed full-run baseline must hold the paper-grade bounds:
+    /// the packed cache probe at or below 15 ns/access, and a
+    /// million-slice streaming point whose measured footprint stays far
+    /// below what the materialized path would need.
+    #[test]
+    fn committed_baseline_holds_the_cache_and_streaming_bounds() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        validate_report(&text).unwrap();
+        let report = json::parse(&text).unwrap();
+        let cache = kernel_by_name(&report, "cache_access_rw").unwrap();
+        let ns = detail(cache, "ns_per_access").unwrap();
+        assert!(
+            ns <= 15.0,
+            "committed cache probe is {ns} ns/access (bound: 15)"
+        );
+        let point = report
+            .get("scaling")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .find(|p| {
+                p.get("slices").and_then(Value::as_f64) == Some(1_000_000.0)
+                    && p.get("max_k").and_then(Value::as_f64) == Some(35.0)
+            })
+            .expect("the grid has the 1M-slice, k=35 point");
+        let rss = point.get("streamed_rss_delta_bytes").unwrap();
+        assert!(
+            *rss == Value::Null || rss.as_f64().unwrap() <= (64u64 << 20) as f64,
+            "streamed RSS delta {rss:?} exceeds 64 MiB"
+        );
+        let estimate = point.get("materialized_estimate_bytes").unwrap();
+        assert!(
+            estimate.as_f64().unwrap() > (200u64 << 20) as f64,
+            "estimate formula drifted"
+        );
     }
 
     #[test]

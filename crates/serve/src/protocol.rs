@@ -152,31 +152,12 @@ fn non_negative_integer(v: &Value, name: &str) -> Result<u64, String> {
     Ok(f as u64)
 }
 
-/// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders a typed failure reply.
 pub fn error_reply(code: &str, message: &str) -> String {
     format!(
         "{{\"error\":{{\"code\":{},\"message\":{}}}}}",
-        json_string(code),
-        json_string(message)
+        json::string(code),
+        json::string(message)
     )
 }
 
@@ -187,7 +168,7 @@ pub fn invalid_config_reply(message: &str, diagnostics: &[Diagnostic]) -> String
     let rules: Vec<String> = diagnostics.iter().map(diagnostic_json).collect();
     format!(
         "{{\"error\":{{\"code\":\"invalid-config\",\"message\":{},\"rules\":[{}]}}}}",
-        json_string(message),
+        json::string(message),
         rules.join(",")
     )
 }
@@ -199,7 +180,7 @@ pub fn invalid_config_reply(message: &str, diagnostics: &[Diagnostic]) -> String
 pub fn busy_reply(queue_depth: usize) -> String {
     format!(
         "{{\"error\":{{\"code\":\"busy\",\"message\":{},\"retry_after_ms\":{}}}}}",
-        json_string(&format!("queue full (depth {queue_depth})")),
+        json::string(&format!("queue full (depth {queue_depth})")),
         busy_retry_hint_ms(queue_depth)
     )
 }
@@ -251,7 +232,7 @@ pub fn run_request_line(
 ) -> String {
     let mut fields = vec![
         "\"op\":\"run\"".to_string(),
-        format!("\"bench\":{}", json_string(bench)),
+        format!("\"bench\":{}", json::string(bench)),
         format!("\"scale\":{scale:?}"),
     ];
     if let Some(s) = slice {
@@ -261,10 +242,10 @@ pub fn run_request_line(
         fields.push(format!("\"maxk\":{k}"));
     }
     if let Some(name) = strategy {
-        fields.push(format!("\"strategy\":{}", json_string(name)));
+        fields.push(format!("\"strategy\":{}", json::string(name)));
     }
     if let Some(mode) = kmeans {
-        fields.push(format!("\"kmeans\":{}", json_string(mode)));
+        fields.push(format!("\"kmeans\":{}", json::string(mode)));
     }
     format!("{{{}}}", fields.join(","))
 }

@@ -17,6 +17,7 @@ use sampsim_core::CoreError;
 use sampsim_exec::Jobs;
 use sampsim_simpoint::{KmeansMode, SimPointOptions, StrategySpec};
 use sampsim_spec2017::{benchmark, BenchmarkId, BenchmarkSpec};
+use sampsim_util::json;
 use sampsim_util::scale::Scale;
 use sampsim_workload::Program;
 use std::fmt;
@@ -263,23 +264,16 @@ pub fn run_document(
 }
 
 /// Renders the `sampsim run` JSON document. Hand-assembled (the build has
-/// no serializer dependency); all floats go through `{:?}` so the text is
-/// the shortest exact representation of the bit pattern.
+/// no serializer dependency); all floats go through [`json::number`] so
+/// the text is the shortest exact representation of the bit pattern.
 pub fn run_json(
     name: &str,
     result: &PipelineResult,
     whole: &AggregatedMetrics,
     regional: &AggregatedMetrics,
 ) -> String {
-    fn json_f(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:?}")
-        } else {
-            "null".to_string()
-        }
-    }
     fn mix(m: &[f64; 4]) -> String {
-        let parts: Vec<String> = m.iter().map(|v| json_f(*v)).collect();
+        let parts: Vec<String> = m.iter().map(|v| json::number(*v)).collect();
         format!("[{}]", parts.join(","))
     }
     fn agg_obj(a: &AggregatedMetrics) -> String {
@@ -290,15 +284,15 @@ pub fn run_json(
         if let Some(mr) = a.miss_rates {
             fields.push(format!(
                 "\"miss_rates_pct\":{{\"l1i\":{},\"l1d\":{},\"l2\":{},\"l3\":{}}}",
-                json_f(mr.l1i),
-                json_f(mr.l1d),
-                json_f(mr.l2),
-                json_f(mr.l3)
+                json::number(mr.l1i),
+                json::number(mr.l1d),
+                json::number(mr.l2),
+                json::number(mr.l3)
             ));
             fields.push(format!("\"l3_accesses\":{}", a.total_l3_accesses));
         }
         if let Some(cpi) = a.cpi {
-            fields.push(format!("\"cpi\":{}", json_f(cpi)));
+            fields.push(format!("\"cpi\":{}", json::number(cpi)));
         }
         format!("{{{}}}", fields.join(","))
     }
@@ -310,13 +304,13 @@ pub fn run_json(
                 "{{\"slice\":{},\"cluster\":{},\"weight\":{}}}",
                 pb.slice_index,
                 pb.cluster,
-                json_f(pb.weight)
+                json::number(pb.weight)
             )
         })
         .collect();
     format!(
-        "{{\"benchmark\":\"{}\",\"slices\":{},\"k\":{},\"points\":[{}],\"whole\":{},\"regional\":{}}}",
-        name,
+        "{{\"benchmark\":{},\"slices\":{},\"k\":{},\"points\":[{}],\"whole\":{},\"regional\":{}}}",
+        json::string(name),
         result.num_slices,
         result.simpoints.k,
         points.join(","),
@@ -329,6 +323,21 @@ pub fn run_json(
 mod tests {
     use super::*;
     use sampsim_core::stage_cache::{MemoryStageCache, NoCache};
+
+    #[test]
+    fn suite_and_strategy_names_render_without_escapes() {
+        // The writers route names through `json::string`; for every name
+        // the suite and the registry can produce, that is the same bytes
+        // as the plain quoted interpolation the documents always had.
+        let suite = sampsim_spec2017::suite();
+        let names = suite
+            .iter()
+            .map(|s| s.name())
+            .chain(sampsim_simpoint::STRATEGY_NAMES.iter().copied());
+        for name in names {
+            assert_eq!(json::string(name), format!("\"{name}\""));
+        }
+    }
 
     fn tiny_request() -> RunRequest {
         RunRequest {

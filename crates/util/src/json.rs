@@ -1,10 +1,12 @@
-//! A minimal JSON reader.
+//! A minimal JSON reader, the two writers every report uses, and a
+//! declarative schema checker.
 //!
-//! The offline build has no JSON dependency, yet the perf harness and the
-//! CI gate need to *validate* the reports the CLI emits, and `sampsim
-//! serve` parses requests arriving over TCP (all sampsim JSON is produced
-//! by hand-assembled writers). This module parses the full JSON grammar
-//! into a [`Value`] tree — enough to check a schema, not a serde
+//! The offline build has no JSON dependency. All sampsim JSON is produced
+//! by hand-assembled writers, which render floats with [`number`] and
+//! strings with [`string`]. The reader parses the full JSON grammar into
+//! a [`Value`] tree: `sampsim serve` parses requests arriving over TCP
+//! with it, and [`validate`] checks every report the CLI emits against a
+//! [`Schema`] declared beside the report's writer. It is not a serde
 //! replacement: numbers are `f64` and objects keep insertion order.
 //!
 //! Because the server feeds it *untrusted network input*, the parser is
@@ -69,14 +71,6 @@ impl Value {
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The bool, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -352,6 +346,208 @@ impl Parser<'_> {
     }
 }
 
+/// Renders a float the way every sampsim writer does: Rust's shortest
+/// round-trip `{:?}` form, so the text is the exact bit pattern, and
+/// `null` for NaN and the infinities (JSON has no spelling for them).
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// Renders `s` as a JSON string literal, quotes included (RFC 8259
+/// escaping: `"`, `\`, and control characters, with the short forms for
+/// newline, carriage return and tab).
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A declarative document schema: a `const` tree of fields, types and
+/// bounds, checked by [`validate`]. It has exactly the variants the
+/// sampsim reports need. Every number must be finite.
+#[derive(Debug)]
+pub enum Schema {
+    /// Any string.
+    Str,
+    /// A string other than `""`.
+    NonEmptyStr,
+    /// Exactly this string: a schema tag or a `kind` discriminant.
+    Tag(&'static str),
+    /// One string out of a fixed set.
+    OneOf(&'static [&'static str]),
+    /// `true` or `false`.
+    Bool,
+    /// Any number.
+    Num,
+    /// A number at or above the bound.
+    AtLeast(f64),
+    /// A number strictly above the bound.
+    Above(f64),
+    /// `null`, or a value matching the inner schema.
+    OrNull(&'static Schema),
+    /// `Array(item, min_len)`: at least `min_len` elements, each an `item`.
+    Array(&'static Schema, usize),
+    /// An object with exactly these fields, in this document order.
+    Object(&'static [(&'static str, Schema)]),
+    /// An object mapping any names to numbers.
+    NumMap,
+    /// An object whose `"kind"` picks one of these [`Schema::Object`]
+    /// variants, each declaring `("kind", Tag(..))` as its first field.
+    Tagged(&'static [Schema]),
+    /// `Keyed(key, names, item)`: an array of `item` objects whose string
+    /// field `key` takes every value in `names` exactly once, and no other.
+    Keyed(&'static str, &'static [&'static str], &'static Schema),
+}
+
+/// Parses `text` and checks the document against `schema`.
+///
+/// # Errors
+///
+/// Returns the parse error, or every schema violation joined by `"; "`.
+/// Each violation names its path, as in
+/// `strategies[2].cpi.mean: missing or not a number`.
+pub fn validate(text: &str, schema: &Schema) -> Result<(), String> {
+    let doc = parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let mut errors = Vec::new();
+    schema.check(Some(&doc), "", &mut errors);
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.join("; "))
+    }
+}
+
+fn child(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+fn fail(errors: &mut Vec<String>, path: &str, what: impl fmt::Display) {
+    let at = if path.is_empty() { "document" } else { path };
+    errors.push(format!("{at}: {what}"));
+}
+
+impl Schema {
+    /// The `kind` tag of a [`Schema::Tagged`] variant.
+    fn kind_tag(&self) -> Option<&'static str> {
+        match self {
+            Schema::Object([("kind", Schema::Tag(tag)), ..]) => Some(tag),
+            _ => None,
+        }
+    }
+
+    /// Checks `value` (`None` when the field is absent) at `path`,
+    /// appending every violation to `errors`.
+    fn check(&self, value: Option<&Value>, path: &str, errors: &mut Vec<String>) {
+        use Schema::*;
+        match (self, value) {
+            (Str | NonEmptyStr | Tag(_) | OneOf(_), Some(Value::String(s))) => match self {
+                NonEmptyStr if s.is_empty() => fail(errors, path, "must not be empty"),
+                Tag(tag) if s != tag => fail(errors, path, format!("expected {tag:?}, got {s:?}")),
+                OneOf(set) if !set.contains(&s.as_str()) => {
+                    fail(errors, path, format!("{s:?} is not one of {set:?}"));
+                }
+                _ => {}
+            },
+            (Str | NonEmptyStr | Tag(_) | OneOf(_), _) => {
+                fail(errors, path, "missing or not a string");
+            }
+            (Bool, Some(Value::Bool(_))) | (OrNull(_), Some(Value::Null)) => {}
+            (Bool, _) => fail(errors, path, "missing or not a boolean"),
+            (Num | AtLeast(_) | Above(_), Some(&Value::Number(n))) if n.is_finite() => match self {
+                AtLeast(min) if n < *min => {
+                    fail(errors, path, format!("must be >= {min}, got {n}"))
+                }
+                Above(min) if n <= *min => fail(errors, path, format!("must be > {min}, got {n}")),
+                _ => {}
+            },
+            (Num | AtLeast(_) | Above(_), _) => fail(errors, path, "missing or not a number"),
+            (OrNull(inner), _) => inner.check(value, path, errors),
+            (Array(item, min_len), Some(Value::Array(items))) => {
+                if items.len() < *min_len {
+                    fail(errors, path, format!("needs at least {min_len} element(s)"));
+                }
+                for (i, v) in items.iter().enumerate() {
+                    item.check(Some(v), &format!("{path}[{i}]"), errors);
+                }
+            }
+            (Object(fields), Some(Value::Object(present))) => {
+                for (key, schema) in *fields {
+                    schema.check(value.and_then(|v| v.get(key)), &child(path, key), errors);
+                }
+                let keys: Vec<&str> = present.iter().map(|(k, _)| k.as_str()).collect();
+                let declared: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+                if keys != declared {
+                    let what = format!("has fields {keys:?}, expected {declared:?}");
+                    fail(errors, path, what);
+                }
+            }
+            (NumMap, Some(Value::Object(present))) => {
+                for (key, v) in present {
+                    Num.check(Some(v), &child(path, key), errors);
+                }
+            }
+            (Tagged(variants), _) => {
+                let kind = value.and_then(|v| v.get("kind")).and_then(Value::as_str);
+                match variants
+                    .iter()
+                    .find(|v| v.kind_tag().is_some_and(|t| Some(t) == kind))
+                {
+                    Some(variant) => variant.check(value, path, errors),
+                    None => {
+                        let tags: Vec<_> = variants.iter().filter_map(Schema::kind_tag).collect();
+                        let got = kind.map_or("missing".to_string(), |k| format!("{k:?}"));
+                        let what = format!("{got} is not one of {tags:?}");
+                        fail(errors, &child(path, "kind"), what);
+                    }
+                }
+            }
+            (Keyed(key, names, item), Some(Value::Array(items))) => {
+                let mut seen = Vec::with_capacity(names.len());
+                for (i, v) in items.iter().enumerate() {
+                    let at = format!("{path}[{i}]");
+                    item.check(Some(v), &at, errors);
+                    match v.get(key).and_then(Value::as_str) {
+                        Some(name) if !names.contains(&name) => {
+                            let what = format!("{name:?} is not one of {names:?}");
+                            fail(errors, &child(&at, key), what);
+                        }
+                        Some(name) if seen.contains(&name) => {
+                            fail(errors, &child(&at, key), format!("{name:?} appears twice"));
+                        }
+                        Some(name) => seen.push(name),
+                        None => {}
+                    }
+                }
+                for name in names.iter().filter(|n| !seen.contains(n)) {
+                    fail(errors, path, format!("{name:?} is missing"));
+                }
+            }
+            (Array(..) | Keyed(..), _) => fail(errors, path, "missing or not an array"),
+            (Object(_) | NumMap, _) => fail(errors, path, "missing or not an object"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,6 +672,134 @@ mod tests {
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Object(vec![]));
     }
+
+    #[test]
+    fn writers_render_numbers_and_escape_strings() {
+        assert_eq!(number(0.1), "0.1");
+        assert_eq!(number(100.0), "100.0");
+        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(f64::NEG_INFINITY), "null");
+        assert_eq!(
+            string("a\"b\\c\nd\te\r\u{1}"),
+            "\"a\\\"b\\\\c\\nd\\te\\r\\u0001\""
+        );
+        assert_eq!(string("505.mcf_r"), "\"505.mcf_r\"");
+        let tricky = "q\"\\\u{0}\u{1f}é𝄞";
+        assert_eq!(parse(&string(tricky)).unwrap().as_str(), Some(tricky));
+    }
+
+    const ROW: Schema = {
+        use Schema::*;
+        Object(&[
+            ("name", Str),
+            ("n", AtLeast(1.0)),
+            ("w", OrNull(&Above(0.0))),
+        ])
+    };
+    const DOC: Schema = {
+        use Schema::*;
+        Object(&[
+            ("schema", Tag("t/v1")),
+            ("mode", OneOf(&["a", "b"])),
+            ("ok", Bool),
+            ("rows", Keyed("name", &["x", "y"], &ROW)),
+            ("grid", Array(&Num, 1)),
+            ("details", NumMap),
+            (
+                "at",
+                Tagged(&[
+                    Object(&[("kind", Tag("file")), ("path", NonEmptyStr)]),
+                    Object(&[("kind", Tag("none"))]),
+                ]),
+            ),
+        ])
+    };
+    const GOOD: &str = r#"{"schema":"t/v1","mode":"a","ok":true,
+        "rows":[{"name":"y","n":1,"w":null},{"name":"x","n":2.5,"w":0.5}],
+        "grid":[1,-2.0],"details":{"k":3},"at":{"kind":"file","path":"p"}}"#;
+
+    fn violation(doc: &str) -> String {
+        validate(doc, &DOC).unwrap_err()
+    }
+
+    #[test]
+    fn schema_accepts_a_conforming_document() {
+        validate(GOOD, &DOC).unwrap();
+        let other_kind = GOOD.replace(r#"{"kind":"file","path":"p"}"#, r#"{"kind":"none"}"#);
+        validate(&other_kind, &DOC).unwrap();
+    }
+
+    #[test]
+    fn schema_violations_name_their_path() {
+        for (from, to, expect) in [
+            ("t/v1", "t/v0", r#"schema: expected "t/v1", got "t/v0""#),
+            (r#""a""#, r#""c""#, r#"mode: "c" is not one of ["a", "b"]"#),
+            ("true", "1", "ok: missing or not a boolean"),
+            (r#""n":2.5"#, r#""n":0"#, "rows[1].n: must be >= 1, got 0"),
+            (
+                r#""n":2.5"#,
+                r#""n":"2""#,
+                "rows[1].n: missing or not a number",
+            ),
+            (r#""w":0.5"#, r#""w":0"#, "rows[1].w: must be > 0, got 0"),
+            ("[1,-2.0]", "[1,\"x\"]", "grid[1]: missing or not a number"),
+            ("[1,-2.0]", "[]", "grid: needs at least 1 element(s)"),
+            (
+                r#""k":3"#,
+                r#""k":null"#,
+                "details.k: missing or not a number",
+            ),
+            (
+                r#""path":"p""#,
+                r#""path":"""#,
+                "at.path: must not be empty",
+            ),
+            (
+                r#""kind":"file""#,
+                r#""kind":"dir""#,
+                r#"at.kind: "dir" is not one of ["file", "none"]"#,
+            ),
+            (
+                r#""name":"x""#,
+                r#""name":"y""#,
+                r#"rows[1].name: "y" appears twice"#,
+            ),
+            (
+                r#""name":"x""#,
+                r#""name":"z""#,
+                r#"rows[1].name: "z" is not one of ["x", "y"]"#,
+            ),
+            (r#","w":0.5"#, "", "rows[1].w: missing or not a number"),
+            (
+                r#""ok":true,"#,
+                r#""ok":true,"x":1,"#,
+                r#""ok", "x", "rows""#,
+            ),
+        ] {
+            assert!(GOOD.contains(from), "{from}");
+            let err = violation(&GOOD.replacen(from, to, 1));
+            assert!(err.contains(expect), "{from} -> {to}: {err}");
+        }
+        assert!(violation(r#"[]"#).contains("document: missing or not an object"));
+        assert!(violation("{").starts_with("not valid JSON"));
+    }
+
+    #[test]
+    fn schema_objects_are_closed_and_ordered() {
+        let swapped = GOOD.replace(r#""mode":"a","ok":true"#, r#""ok":true,"mode":"a""#);
+        assert!(violation(&swapped).contains(r#"document: has fields ["schema", "ok", "mode","#));
+        let repeated = GOOD.replace(r#""path":"p""#, r#""path":"p","path":"p""#);
+        let err = violation(&repeated);
+        assert!(
+            err.contains(r#"at: has fields ["kind", "path", "path"]"#),
+            "{err}"
+        );
+        // A dropped keyed row is named, and every violation is reported.
+        let dropped = GOOD.replace(r#",{"name":"x","n":2.5,"w":0.5}"#, "");
+        let err = violation(&dropped.replace("\"a\"", "\"c\""));
+        assert!(err.contains(r#"rows: "x" is missing"#), "{err}");
+        assert!(err.contains("mode:"), "{err}");
+    }
 }
 
 /// Seeded property tests on the untrusted-input hardening, driven by the
@@ -497,7 +821,7 @@ mod prop_tests {
             Value::Number(n) => {
                 let _ = write!(out, "{n:?}");
             }
-            Value::String(s) => render_str(s, out),
+            Value::String(s) => out.push_str(&string(s)),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -514,29 +838,13 @@ mod prop_tests {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_str(k, out);
+                    out.push_str(&string(k));
                     out.push(':');
                     render(val, out);
                 }
                 out.push('}');
             }
         }
-    }
-
-    fn render_str(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
     }
 
     /// A random scalar-or-container tree of bounded depth.

@@ -845,3 +845,155 @@ fn plan_reports_byte_identical_across_spec_permutations() {
         );
     });
 }
+
+// ----------------------------------------------------------- validators
+
+/// A validator for one report kind, as `(name, check)`.
+type Validator = (&'static str, fn(&str) -> Result<(), String>);
+
+fn validate_lint_line(text: &str) -> Result<(), String> {
+    sampsim::util::json::validate(text, &sampsim::analyze::DIAGNOSTIC)
+}
+
+const VALIDATORS: [Validator; 4] = [
+    ("compare", sampsim::core::compare::validate_report),
+    ("plan", sampsim::core::plan::validate_report),
+    ("perf", sampsim::perf::validate_report),
+    ("lint", validate_lint_line),
+];
+
+/// One valid document per report kind, in [`VALIDATORS`] order: a compare
+/// and a plan report for a mini-program, the committed perf baseline and
+/// the plan's first soundness finding as a lint line.
+fn valid_reports() -> [String; 4] {
+    let program = program_for(7);
+    let config = PinPointsConfig {
+        slice_size: 500,
+        simpoint: sampsim::simpoint::SimPointOptions {
+            max_k: 4,
+            ..Default::default()
+        },
+        warmup_slices: 2,
+        profile_cache: None,
+        ..Default::default()
+    };
+    let compare =
+        sampsim::core::compare::compare_strategies(&program, &config, 2, sampsim::exec::SERIAL)
+            .expect("the mini-program compares");
+    let spec = StrategySpec::parse_spec("rss:replicates=1").expect("spec parses");
+    let plan = plan_strategy(&program, &config, Some(&spec)).expect("the mini-program plans");
+    let lint = sampsim::analyze::diagnostic_json(&plan.soundness[0]);
+    let reports = [
+        compare.to_json(),
+        plan.to_json(),
+        include_str!("../BENCH_kernels.json").to_string(),
+        lint,
+    ];
+    for ((name, validate), doc) in VALIDATORS.iter().zip(&reports) {
+        validate(doc).unwrap_or_else(|e| panic!("{name}: {e}\n{doc}"));
+    }
+    reports
+}
+
+/// Runs every validator over `doc`: each must return `Ok` or `Err`. A
+/// panic fails the case, which the harness reports for replay.
+fn validate_all(doc: &str) {
+    for (_, validate) in VALIDATORS {
+        let _ = validate(doc);
+    }
+}
+
+/// The char boundaries of `doc`, where a `&str` may be cut.
+fn cut_points(doc: &str) -> Vec<usize> {
+    (0..=doc.len())
+        .filter(|&i| doc.is_char_boundary(i))
+        .collect()
+}
+
+/// Mutation test for the report validators: bit flips, truncation at
+/// every cut point and splices of two valid documents. Every validator
+/// returns `Ok` or `Err` on every mutant, and no strict prefix of a
+/// report (short of trailing whitespace) validates.
+#[test]
+fn report_validators_never_panic_on_mutated_documents() {
+    let reports = valid_reports();
+    for (doc, (name, validate)) in reports.iter().zip(VALIDATORS) {
+        let body = doc.trim_end().len();
+        for cut in cut_points(doc) {
+            validate_all(&doc[..cut]);
+            if cut < body {
+                assert!(validate(&doc[..cut]).is_err(), "{name} cut at {cut}");
+            }
+        }
+    }
+    run_cases("report-validator-mutations", 256, |g| {
+        let doc = &reports[g.usize_in(0..reports.len())];
+        let mut bytes = doc.clone().into_bytes();
+        for _ in 0..g.usize_in(1..4) {
+            let at = g.usize_in(0..bytes.len());
+            bytes[at] ^= 1 << g.usize_in(0..8);
+        }
+        validate_all(&String::from_utf8_lossy(&bytes));
+
+        let other = &reports[g.usize_in(0..reports.len())];
+        let (head, tail) = (cut_points(doc), cut_points(other));
+        let head = head[g.usize_in(0..head.len())];
+        let tail = tail[g.usize_in(0..tail.len())];
+        validate_all(&format!("{}{}", &doc[..head], &other[tail..]));
+    });
+}
+
+/// Replaces the first string value of `field` in `doc` with `value`.
+fn replace_first_string(doc: &str, field: &str, value: &str) -> String {
+    let key = format!("\"{field}\":\"");
+    let start = doc.find(&key).expect("field present") + key.len();
+    let end = start + doc[start..].find('"').expect("string closes");
+    format!("{}{value}{}", &doc[..start], &doc[end..])
+}
+
+/// Documents that stay valid JSON but break their schema are rejected,
+/// and the error names the offending field.
+#[test]
+fn schema_violations_in_valid_json_name_the_field() {
+    let [compare, plan, perf, lint] = valid_reports();
+    let expect = |(name, validate): Validator, doc: &str, needles: &[&str]| {
+        sampsim::util::json::parse(doc).expect("the mutant is still JSON");
+        let err = validate(doc).expect_err(name);
+        for needle in needles {
+            assert!(err.contains(needle), "{name}: {err:?} lacks {needle:?}");
+        }
+    };
+
+    // compare: a duplicated rss row.
+    let rss = compare.find(",{\"strategy\":\"rss\"").expect("rss row");
+    let close = compare.rfind("]}").expect("strategies close");
+    let duplicated = format!(
+        "{}{}{}",
+        &compare[..close],
+        &compare[rss..close],
+        &compare[close..]
+    );
+    expect(
+        VALIDATORS[0],
+        &duplicated,
+        &["strategies[3].strategy", "\"rss\" appears twice"],
+    );
+
+    // plan: a negative sample count, and a severity no renderer writes.
+    let negative = plan.replacen("\"samples\":", "\"samples\":-", 1);
+    expect(VALIDATORS[1], &negative, &["samples: must be >= 1"]);
+    let fatal = replace_first_string(&plan, "severity", "fatal");
+    expect(
+        VALIDATORS[1],
+        &fatal,
+        &["soundness[0].severity", "\"fatal\""],
+    );
+
+    // perf: a negative speedup on the first kernel.
+    let slower = perf.replacen("\"speedup\":", "\"speedup\":-", 1);
+    expect(VALIDATORS[2], &slower, &["kernels[0].speedup: must be > 0"]);
+
+    // lint: an unregistered rule code.
+    let unknown = replace_first_string(&lint, "code", "SA999");
+    expect(VALIDATORS[3], &unknown, &["code", "\"SA999\""]);
+}
