@@ -229,9 +229,9 @@ impl Pipeline {
 
         // -- Region selection through the strategy trait. The `simpoint`
         // strategy runs the exact code `SimPointAnalysis::run_jobs` always
-        // ran (k-means restarts fan out over the same workers); the
-        // differential suite pins this dispatch bit-identical to the
-        // pre-trait path.
+        // ran (every (k, restart) clustering fans out over the same
+        // workers); the differential suite pins this dispatch
+        // bit-identical to the pre-trait path.
         let strategy = self.config.strategy.build(&self.config.simpoint);
         let selection = strategy.select(
             &StrategyInput {

@@ -42,7 +42,7 @@ use sampsim_simpoint::bbv::Bbv;
 use sampsim_simpoint::kmeans::KmeansResult;
 use sampsim_simpoint::project::RandomProjection;
 use sampsim_simpoint::{
-    kmeans_best_of_jobs, kmeans_best_of_reference, KmeansError, MiniBatchKmeans, SimPointOptions,
+    kmeans_best_of_reference, kmeans_sweep_jobs, KmeansError, MiniBatchKmeans, SimPointOptions,
     MINIBATCH_BATCH,
 };
 use sampsim_spec2017::{benchmark, BenchmarkId};
@@ -274,12 +274,11 @@ pub fn prepare_input(options: &PerfOptions) -> Result<PerfInput, PerfError> {
     let (bbvs, _, _) = Pipeline::new(config).profile(&program);
     let sp = SimPointOptions::default();
     // Quick mode sweeps a few small k's as a smoke test; measurement mode
-    // runs the restart sweep at MaxK itself, where the paper's pipeline
-    // spends its clustering time.
+    // runs the whole BIC sweep, k = 1..=MaxK, the shape `run` pays for.
     let ks: Vec<usize> = if options.quick {
         vec![2, 5, 8]
     } else {
-        vec![sp.max_k]
+        (1..=sp.max_k).collect()
     };
     let n = bbvs.len();
     let mut ks: Vec<usize> = ks.into_iter().filter(|&k| k <= n).collect();
@@ -314,12 +313,13 @@ fn ensure_identical(a: &KmeansResult, b: &KmeansResult, what: &str) -> Result<()
     }
 }
 
-/// Times the full clustering sweep — naive serial
-/// [`kmeans_best_of_reference`] vs the bounds-pruned parallel-restart
-/// [`kmeans_best_of_jobs`] — over every `k` in `input.ks`, asserting
-/// each pair of winners bit-identical. The assertion doubles as the
-/// determinism proof for `jobs`: whatever the worker count, the
-/// optimized side must reproduce the serial naive result bit for bit.
+/// Times the full clustering sweep — a serial per-`k` loop of naive
+/// [`kmeans_best_of_reference`] vs one [`kmeans_sweep_jobs`] call, the
+/// production sweep with every `(k, restart)` pair in one task list —
+/// over every `k` in `input.ks`, asserting each pair of winners
+/// bit-identical. The assertion doubles as the determinism proof for
+/// `jobs`: whatever the worker count, the optimized side must reproduce
+/// the serial naive result bit for bit.
 ///
 /// # Errors
 ///
@@ -358,26 +358,12 @@ pub fn kmeans_sweep_kernel(
         naive = r?;
         reference_ms = reference_ms.min(ms);
     }
+    let seeded: Vec<(usize, u64)> = input.ks.iter().map(|&k| (k, input.seed)).collect();
     let mut pruned = Vec::new();
     let mut optimized_ms = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        let (r, ms) = time_ms(|| -> Result<Vec<KmeansResult>, KmeansError> {
-            input
-                .ks
-                .iter()
-                .map(|&k| {
-                    kmeans_best_of_jobs(
-                        data,
-                        n,
-                        dim,
-                        k,
-                        input.max_iter,
-                        input.seed,
-                        input.n_init,
-                        jobs,
-                    )
-                })
-                .collect()
+        let (r, ms) = time_ms(|| {
+            kmeans_sweep_jobs(data, n, dim, &seeded, input.max_iter, input.n_init, jobs)
         });
         pruned = r?;
         optimized_ms = optimized_ms.min(ms);

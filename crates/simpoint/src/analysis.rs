@@ -56,6 +56,15 @@ impl Default for SimPointOptions {
 pub enum SimPointError {
     /// No slices were supplied.
     NoSlices,
+    /// `max_k` is zero: no candidate `k` to score.
+    ZeroMaxK,
+    /// `sample_size` is zero: every candidate `k` would be scored on an
+    /// empty subsample.
+    ZeroSampleSize,
+    /// `max_iter` is zero under [`KmeansMode::Lloyd`]: no point would ever
+    /// be assigned, so no clustering could be scored. The mini-batch kernel
+    /// runs a fixed pass count and ignores `max_iter`.
+    ZeroMaxIter,
     /// The clustering kernel rejected its input.
     Kmeans(KmeansError),
 }
@@ -64,6 +73,16 @@ impl fmt::Display for SimPointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimPointError::NoSlices => write!(f, "no slices to analyze"),
+            SimPointError::ZeroMaxK => write!(f, "max_k is 0; at least one cluster is required"),
+            SimPointError::ZeroSampleSize => {
+                write!(f, "sample_size is 0; BIC scoring would see no slices")
+            }
+            SimPointError::ZeroMaxIter => {
+                write!(
+                    f,
+                    "max_iter is 0; Lloyd's algorithm would never assign points"
+                )
+            }
             SimPointError::Kmeans(e) => write!(f, "clustering failed: {e}"),
         }
     }
@@ -72,8 +91,8 @@ impl fmt::Display for SimPointError {
 impl std::error::Error for SimPointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SimPointError::NoSlices => None,
             SimPointError::Kmeans(e) => Some(e),
+            _ => None,
         }
     }
 }
@@ -131,15 +150,18 @@ impl SimPointAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`SimPointError::NoSlices`] when `bbvs` is empty.
+    /// As [`SimPointStrategy::analyze`]: [`SimPointError::NoSlices`] when
+    /// `bbvs` is empty, a typed error for an option that makes the sweep
+    /// impossible, or a kernel error.
     pub fn run(&self, bbvs: &[Bbv], slice_size: u64) -> Result<SimPointsResult, SimPointError> {
         self.run_jobs(bbvs, slice_size, SERIAL)
     }
 
-    /// [`SimPointAnalysis::run`] with the k-means restarts fanned out over
-    /// `jobs` workers. The job count changes wall-clock time only — the
-    /// restart winner is selected deterministically, so the result is
-    /// bit-identical to the serial run.
+    /// [`SimPointAnalysis::run`] with every `(k, restart)` clustering of the
+    /// BIC sweep fanned out over `jobs` workers as one task list. The job
+    /// count changes wall-clock time only — each `k`'s restart winner is
+    /// selected deterministically, so the result is bit-identical to the
+    /// serial run.
     ///
     /// This is a thin wrapper over [`SimPointStrategy::analyze`], where the
     /// algorithm lives since the strategy refactor; the differential suite
@@ -147,7 +169,7 @@ impl SimPointAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`SimPointError::NoSlices`] when `bbvs` is empty.
+    /// As [`SimPointAnalysis::run`].
     pub fn run_jobs(
         &self,
         bbvs: &[Bbv],
@@ -238,6 +260,50 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SimPointError::NoSlices);
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn zero_max_k_is_a_typed_error() {
+        let opts = SimPointOptions {
+            max_k: 0,
+            ..Default::default()
+        };
+        let err = SimPointAnalysis::new(opts)
+            .run(&synthetic_bbvs(2, 5), 1000)
+            .unwrap_err();
+        assert_eq!(err, SimPointError::ZeroMaxK);
+        assert!(err.to_string().contains("max_k"));
+    }
+
+    #[test]
+    fn zero_sample_size_is_a_typed_error() {
+        let opts = SimPointOptions {
+            sample_size: 0,
+            ..Default::default()
+        };
+        let err = SimPointAnalysis::new(opts)
+            .run(&synthetic_bbvs(2, 5), 1000)
+            .unwrap_err();
+        assert_eq!(err, SimPointError::ZeroSampleSize);
+        assert!(err.to_string().contains("sample_size"));
+    }
+
+    #[test]
+    fn zero_max_iter_is_a_typed_error_for_lloyd_only() {
+        let bbvs = synthetic_bbvs(2, 5);
+        let lloyd = SimPointOptions {
+            max_iter: 0,
+            ..Default::default()
+        };
+        let err = SimPointAnalysis::new(lloyd).run(&bbvs, 1000).unwrap_err();
+        assert_eq!(err, SimPointError::ZeroMaxIter);
+        assert!(err.to_string().contains("max_iter"));
+        // The mini-batch kernel never reads `max_iter`.
+        let minibatch = SimPointOptions {
+            kmeans_mode: KmeansMode::MiniBatch,
+            ..lloyd
+        };
+        assert!(SimPointAnalysis::new(minibatch).run(&bbvs, 1000).is_ok());
     }
 
     #[test]

@@ -10,15 +10,27 @@
 //!   per-point bounds (an upper bound on the distance to the assigned
 //!   centroid, a lower bound on the distance to every other centroid) plus
 //!   inter-centroid half-distances, so most points skip the k-way distance
-//!   scan once the iteration settles. Every distance it *does* compute and
-//!   every centroid update uses the exact `sq_dist` and summation order of
-//!   the naive code, and a skip is taken only when the bounds prove — with
-//!   a safety margin far above accumulated floating-point error — that the
-//!   naive scan's argmin could not differ. Assignments, centroids, inertia
-//!   and iteration counts are therefore **bit-identical** to the reference.
+//!   scan once the iteration settles. When a point does need the scan, its
+//!   k distances are filled one dimension at a time over a lane-block
+//!   copy of the centroids, one lane per centroid; k-means++ seeding does
+//!   the same with one lane per point over a lane-block copy of the data.
+//!   Each lane performs exactly the operations of `sq_dist` in the same
+//!   order, so every distance keeps its bits; only the order *across*
+//!   independent lanes changes. Every centroid update uses the summation
+//!   order of the naive code, and a skip is taken only when the bounds
+//!   prove — with a safety margin far above accumulated floating-point
+//!   error — that the naive scan's argmin could not differ. Assignments,
+//!   centroids, inertia and iteration counts are therefore
+//!   **bit-identical** to the reference.
 //! * [`kmeans_reference`] — the naive full-scan Lloyd kernel, kept verbatim
 //!   as the differential-testing oracle (see `tests/property_tests.rs` and
 //!   the `pruned_matches_reference_*` tests below).
+//!
+//! [`kmeans_sweep_jobs`] is the one fan-out for restarts: it flattens
+//! every `(k, restart)` pair of a BIC sweep into a single task list over
+//! `sampsim_exec`, shares one lane-block copy of the data across all of
+//! them, and folds each `k`'s restarts in restart order.
+//! [`kmeans_best_of_jobs`] is its one-`k` case.
 //!
 //! See `docs/performance.md` for the pruning invariants and the
 //! bit-identity argument.
@@ -131,6 +143,63 @@ impl KmeansResult {
 #[inline]
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Rows per lane block: one 512-bit vector of `f64`.
+const LANES: usize = 8;
+
+/// Squared distances from `point` to every row of `blocks`, a matrix laid
+/// out by [`to_blocks`]; `out` gets one lane per row, padding rows
+/// included. Each lane sums `(x - y)²` over the dimensions in ascending
+/// order from `0.0`, exactly as [`sq_dist`] does, so lane `j` has the bits
+/// of `sq_dist` between `point` and row `j`: the fold's `-0.0` start is
+/// absorbed the same way as this `+0.0` one, because every first term is a
+/// square, and `x - y` is `-(y - x)` exactly, so which side holds the point
+/// does not change the square. Lanes are independent, so a block's
+/// [`LANES`] sums run as one vector in registers instead of one serial add
+/// chain per row.
+#[inline]
+fn sq_dists_lanes(point: &[f64], blocks: &[f64], out: &mut [f64]) {
+    let block_len = point.len() * LANES;
+    for (block, out) in blocks
+        .chunks_exact(block_len)
+        .zip(out.chunks_exact_mut(LANES))
+    {
+        let mut acc = [0.0f64; LANES];
+        for (&x, ys) in point.iter().zip(block.chunks_exact(LANES)) {
+            for (a, &y) in acc.iter_mut().zip(ys) {
+                let t = x - y;
+                *a += t * t;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+}
+
+/// `rows` rounded up to whole lane blocks.
+fn padded(rows: usize) -> usize {
+    rows.div_ceil(LANES) * LANES
+}
+
+/// Writes a row-major `rows × dim` matrix into `out` in lane blocks: rows
+/// are taken [`LANES`] at a time and each group is stored dimension-major,
+/// so coordinate `d` of a group's rows is [`LANES`] consecutive values.
+/// `out` holds [`padded`]`(rows) * dim` values; padding rows keep whatever
+/// `out` had.
+fn to_blocks_into(m: &[f64], dim: usize, out: &mut [f64]) {
+    for (i, row) in m.chunks_exact(dim).enumerate() {
+        let block = &mut out[(i / LANES) * dim * LANES..];
+        for (d, &v) in row.iter().enumerate() {
+            block[d * LANES + i % LANES] = v;
+        }
+    }
+}
+
+/// [`to_blocks_into`] a fresh buffer with zero padding rows.
+fn to_blocks(m: &[f64], rows: usize, dim: usize) -> Vec<f64> {
+    let mut out = vec![0.0; padded(rows) * dim];
+    to_blocks_into(m, dim, &mut out);
+    out
 }
 
 /// Four-lane chunked squared distance: independent partial sums over
@@ -360,9 +429,31 @@ pub fn kmeans(
     seed: u64,
 ) -> Result<KmeansResult, KmeansError> {
     validate(data, n, dim, k)?;
+    Ok(kmeans_lanes(
+        data,
+        &to_blocks(data, n, dim),
+        n,
+        dim,
+        k,
+        max_iter,
+        seed,
+    ))
+}
+
+/// The body of [`kmeans`] on validated input. `data_b` is `data` in lane
+/// blocks ([`to_blocks`]), shared by every run of a sweep.
+fn kmeans_lanes(
+    data: &[f64],
+    data_b: &[f64],
+    n: usize,
+    dim: usize,
+    k: usize,
+    max_iter: u32,
+    seed: u64,
+) -> KmeansResult {
     let k = k.min(n);
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut centroids = plus_plus_init(data, n, dim, k, &mut rng);
+    let mut centroids = plus_plus_init_lanes(data, data_b, n, dim, k, &mut rng);
     let mut assignments = vec![0u32; n];
     let mut iterations = 0;
     let mut inertia = f64::INFINITY;
@@ -380,6 +471,10 @@ pub fn kmeans(
     let mut old_centroids = vec![0.0f64; k * dim];
     let mut sums = vec![0.0f64; k * dim];
     let mut counts = vec![0u64; k];
+    // The centroids in lane blocks, rewritten once per iteration, and the
+    // lane distances of the point being scanned (padding lanes unused).
+    let mut centroids_b = vec![0.0f64; padded(k) * dim];
+    let mut dists = vec![0.0f64; padded(k)];
 
     // A skip is taken only when a bound gap exceeds `eps`, an absolute
     // margin scaled to the data's magnitude. Accumulated floating-point
@@ -401,6 +496,7 @@ pub fn kmeans(
     for iter in 0..max_iter {
         iterations = iter + 1;
         half_dists(&centroids, k, dim, &mut half);
+        to_blocks_into(&centroids, dim, &mut centroids_b);
         let mut changed = false;
         for i in 0..n {
             let a = assignments[i] as usize;
@@ -412,29 +508,23 @@ pub fn kmeans(
             // Tightening pass: replace the drift-inflated upper bound by
             // the exact distance to the assigned centroid. Pointless on
             // the first visit (upper is vacuous INFINITY), so skip it
-            // there; the squared distance is kept for reuse in the scan.
-            let mut d_a = f64::INFINITY;
+            // there.
             if upper[i].is_finite() {
-                d_a = sq_dist(p, &centroids[a * dim..(a + 1) * dim]);
-                let tight = d_a.sqrt();
+                let tight = sq_dist(p, &centroids[a * dim..(a + 1) * dim]).sqrt();
                 upper[i] = tight;
                 if bound - tight > eps {
                     continue;
                 }
             }
-            // Full scan in reference order: strict `<` keeps the first
-            // minimum, and the second-smallest distance refreshes the
-            // lower bound. The assigned centroid's distance is the value
-            // just computed — same inputs, same call, same bits.
+            // Full scan: all k distances in lanes, each with `sq_dist`'s
+            // bits, then the reference argmin over them in centroid order.
+            // Strict `<` keeps the first minimum, and the second-smallest
+            // distance refreshes the lower bound.
+            sq_dists_lanes(p, &centroids_b, &mut dists);
             let mut best = 0u32;
             let mut best_d = f64::INFINITY;
             let mut second_d = f64::INFINITY;
-            for c in 0..k {
-                let d = if c == a && d_a.is_finite() {
-                    d_a
-                } else {
-                    sq_dist(p, &centroids[c * dim..(c + 1) * dim])
-                };
+            for (c, &d) in dists[..k].iter().enumerate() {
                 if d < best_d {
                     second_d = best_d;
                     best_d = d;
@@ -508,13 +598,7 @@ pub fn kmeans(
             lower[i] -= if a == c1 { d2 } else { d1 };
         }
     }
-    Ok(KmeansResult::assemble(
-        k,
-        assignments,
-        centroids,
-        inertia,
-        iterations,
-    ))
+    KmeansResult::assemble(k, assignments, centroids, inertia, iterations)
 }
 
 /// k-means++ seeding (Arthur & Vassilvitskii, 2007).
@@ -532,22 +616,7 @@ fn plus_plus_init(
         .map(|i| sq_dist(&data[i * dim..(i + 1) * dim], &centroids[0..dim]))
         .collect();
     for c in 1..k {
-        let total: f64 = dists.iter().sum();
-        let chosen = if total <= 0.0 {
-            // All points coincide with chosen centroids; any point works.
-            rng.next_below(n as u64) as usize
-        } else {
-            let mut target = rng.next_f64() * total;
-            let mut pick = n - 1;
-            for (i, &d) in dists.iter().enumerate() {
-                if target < d {
-                    pick = i;
-                    break;
-                }
-                target -= d;
-            }
-            pick
-        };
+        let chosen = plus_plus_pick(&dists, rng);
         centroids.extend_from_slice(&data[chosen * dim..(chosen + 1) * dim]);
         for i in 0..n {
             let d = sq_dist(
@@ -556,6 +625,55 @@ fn plus_plus_init(
             );
             if d < dists[i] {
                 dists[i] = d;
+            }
+        }
+    }
+    centroids
+}
+
+/// The next k-means++ centre: a point drawn with probability proportional
+/// to its squared distance from the centres chosen so far.
+fn plus_plus_pick(dists: &[f64], rng: &mut Xoshiro256StarStar) -> usize {
+    let n = dists.len();
+    let total: f64 = dists.iter().sum();
+    if total <= 0.0 {
+        // All points coincide with chosen centroids; any point works.
+        return rng.next_below(n as u64) as usize;
+    }
+    let mut target = rng.next_f64() * total;
+    for (i, &d) in dists.iter().enumerate() {
+        if target < d {
+            return i;
+        }
+        target -= d;
+    }
+    n - 1
+}
+
+/// [`plus_plus_init`] with each new centre's distances to all `n` points
+/// filled in lanes over `data_b` (`data` in lane blocks): same bits, same
+/// draws.
+fn plus_plus_init_lanes(
+    data: &[f64],
+    data_b: &[f64],
+    n: usize,
+    dim: usize,
+    k: usize,
+    rng: &mut Xoshiro256StarStar,
+) -> Vec<f64> {
+    let mut centroids = Vec::with_capacity(k * dim);
+    let first = rng.next_below(n as u64) as usize;
+    centroids.extend_from_slice(&data[first * dim..(first + 1) * dim]);
+    let mut dists = vec![0.0f64; padded(n)];
+    sq_dists_lanes(&centroids[0..dim], data_b, &mut dists);
+    let mut fresh = vec![0.0f64; padded(n)];
+    for c in 1..k {
+        let chosen = plus_plus_pick(&dists[..n], rng);
+        centroids.extend_from_slice(&data[chosen * dim..(chosen + 1) * dim]);
+        sq_dists_lanes(&centroids[c * dim..(c + 1) * dim], data_b, &mut fresh);
+        for (d, &f) in dists.iter_mut().zip(&fresh) {
+            if f < *d {
+                *d = f;
             }
         }
     }
@@ -620,7 +738,8 @@ pub fn kmeans_best_of_reference(
     Ok(best.expect("n_init > 0"))
 }
 
-/// [`kmeans_best_of`] with the restarts fanned out over `jobs` workers.
+/// [`kmeans_best_of`] with the restarts fanned out over `jobs` workers:
+/// the one-`k` case of [`kmeans_sweep_jobs`].
 ///
 /// Restart results are collected in restart order and folded with the
 /// strict `inertia <` rule, so the winner — lowest inertia, ties broken
@@ -640,20 +759,66 @@ pub fn kmeans_best_of_jobs(
     n_init: u32,
     jobs: Jobs,
 ) -> Result<KmeansResult, KmeansError> {
+    let mut winners = kmeans_sweep_jobs(data, n, dim, &[(k, seed)], max_iter, n_init, jobs)?;
+    Ok(winners.pop().expect("one k, one winner"))
+}
+
+/// Runs [`kmeans_best_of`] for every `(k, seed)` in `ks` and returns the
+/// winners in `ks` order: the BIC sweep as one task list.
+///
+/// Every `(k, restart)` pair is one task of a single
+/// [`try_parallel_map`] over `jobs` workers, so no `k` waits for its own
+/// slowest restart while a worker idles, and one lane-block copy of
+/// `data` serves every task. Each `k`'s restarts come back in restart
+/// order and fold with the strict `inertia <` rule, so every winner is
+/// bit-identical to [`kmeans_best_of`] for that `k` and seed, for every
+/// job count.
+///
+/// # Errors
+///
+/// The error a serial loop over `ks` calling [`kmeans_best_of`] would
+/// return first: [`KmeansError::ZeroInit`] if `n_init` is zero and `ks`
+/// is not empty, otherwise the first failing `(k, restart)` in order.
+pub fn kmeans_sweep_jobs(
+    data: &[f64],
+    n: usize,
+    dim: usize,
+    ks: &[(usize, u64)],
+    max_iter: u32,
+    n_init: u32,
+    jobs: Jobs,
+) -> Result<Vec<KmeansResult>, KmeansError> {
+    let Some(&(first_k, _)) = ks.first() else {
+        return Ok(Vec::new());
+    };
     if n_init == 0 {
         return Err(KmeansError::ZeroInit);
     }
-    let runs: Vec<u32> = (0..n_init).collect();
-    let results = try_parallel_map(jobs, &runs, |_, &run| {
-        kmeans(data, n, dim, k, max_iter, restart_seed(seed, run))
+    // The first task's own check: if the shape is bad, this is the error
+    // it would report. Past it, a task can only fail with `ZeroK`.
+    validate(data, n, dim, first_k)?;
+    let data_b = to_blocks(data, n, dim);
+    let tasks: Vec<(usize, u64)> = ks
+        .iter()
+        .flat_map(|&(k, seed)| (0..n_init).map(move |run| (k, restart_seed(seed, run))))
+        .collect();
+    let runs = try_parallel_map(jobs, &tasks, |_, &(k, seed)| {
+        validate(data, n, dim, k)?;
+        Ok(kmeans_lanes(data, &data_b, n, dim, k, max_iter, seed))
     })?;
-    let mut best: Option<KmeansResult> = None;
-    for r in results {
-        if best.as_ref().is_none_or(|b| r.inertia < b.inertia) {
-            best = Some(r);
-        }
-    }
-    Ok(best.expect("n_init > 0"))
+    let mut runs = runs.into_iter();
+    Ok(ks
+        .iter()
+        .map(|_| {
+            let mut best = runs.next().expect("n_init > 0");
+            for r in runs.by_ref().take(n_init as usize - 1) {
+                if r.inertia < best.inertia {
+                    best = r;
+                }
+            }
+            best
+        })
+        .collect())
 }
 
 /// Which clustering kernel the SimPoint analysis runs.
@@ -1041,6 +1206,41 @@ mod tests {
     }
 
     #[test]
+    fn lane_distances_carry_sq_dist_bits() {
+        // Every lane must equal `sq_dist` in every bit, in both
+        // orientations the kernel uses: point against centroid columns
+        // (the full scan) and centroid against point columns (seeding).
+        // Coordinates span many magnitudes, and include signed zeros and
+        // an exact copy, so any change in the per-lane summation order
+        // or start value shows up as a flipped low bit.
+        sampsim_util::prop::run_cases("lane-distance-bits", 64, |g| {
+            let dim = g.usize_in(1..21);
+            let lanes = g.usize_in(1..40);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(g.u64_in(0..u64::MAX - 1));
+            let mut coord = || match rng.next_below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (rng.next_f64() - 0.5) * 10f64.powi(rng.next_below(9) as i32 - 4),
+            };
+            let point: Vec<f64> = (0..dim).map(|_| coord()).collect();
+            let mut cols: Vec<f64> = (0..lanes * dim).map(|_| coord()).collect();
+            cols[..dim].copy_from_slice(&point);
+            let blocks = to_blocks(&cols, lanes, dim);
+            let mut out = vec![f64::NAN; padded(lanes)];
+            sq_dists_lanes(&point, &blocks, &mut out);
+            for (j, &d) in out[..lanes].iter().enumerate() {
+                let col = &cols[j * dim..(j + 1) * dim];
+                assert_eq!(d.to_bits(), sq_dist(&point, col).to_bits(), "lane {j}");
+                assert_eq!(
+                    d.to_bits(),
+                    sq_dist(col, &point).to_bits(),
+                    "lane {j} swapped"
+                );
+            }
+        });
+    }
+
+    #[test]
     fn pruned_matches_reference_on_blobs() {
         let (data, n) = blobs();
         for k in [1, 2, 3, 5, 8] {
@@ -1097,6 +1297,28 @@ mod tests {
             let par = kmeans_best_of_jobs(&data, n, 2, 4, 100, 11, 6, jobs).unwrap();
             assert_bit_identical(&serial, &par, &format!("jobs={jobs}"));
         }
+    }
+
+    #[test]
+    fn sweep_errors_match_the_serial_loop() {
+        // The first failing (k, restart) in order, exactly as a serial
+        // loop of `kmeans_best_of` over the same ks reports it.
+        let (data, n) = blobs();
+        let check = |ks: &[(usize, u64)], data: &[f64], n_init: u32| {
+            let serial = ks
+                .iter()
+                .map(|&(k, seed)| kmeans_best_of(data, n, 2, k, 50, seed, n_init))
+                .collect::<Result<Vec<_>, _>>();
+            for jobs in [SERIAL, Jobs::new(3).unwrap()] {
+                let got = kmeans_sweep_jobs(data, n, 2, ks, 50, n_init, jobs);
+                assert_eq!(got, serial, "ks={ks:?} n_init={n_init}");
+            }
+        };
+        check(&[(3, 1), (0, 2), (4, 3)], &data, 2);
+        check(&[(0, 1), (3, 2)], &data[1..], 2);
+        check(&[(3, 1), (4, 2)], &data[1..], 2);
+        check(&[(3, 1)], &data, 0);
+        check(&[], &data, 0);
     }
 
     #[test]

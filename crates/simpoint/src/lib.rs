@@ -61,8 +61,8 @@ mod analysis;
 pub use analysis::{SimPointAnalysis, SimPointError, SimPointOptions, SimPointsResult};
 pub use kmeans::{
     kmeans, kmeans_best_of, kmeans_best_of_jobs, kmeans_best_of_reference, kmeans_minibatch,
-    kmeans_reference, KmeansError, KmeansMode, KmeansResult, MiniBatchKmeans, MINIBATCH_BATCH,
-    MINIBATCH_PASSES,
+    kmeans_reference, kmeans_sweep_jobs, KmeansError, KmeansMode, KmeansResult, MiniBatchKmeans,
+    MINIBATCH_BATCH, MINIBATCH_PASSES,
 };
 pub use project::{RandomProjection, StreamingProjector};
 pub use select::SimPoint;

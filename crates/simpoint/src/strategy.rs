@@ -37,7 +37,7 @@ use crate::analysis::{SimPointError, SimPointOptions, SimPointsResult};
 use crate::bbv::Bbv;
 use crate::bic::{bic_score, choose_k};
 use crate::kmeans::{
-    kmeans_best_of_jobs, kmeans_minibatch, KmeansMode, KmeansResult, MINIBATCH_BATCH,
+    kmeans_minibatch, kmeans_sweep_jobs, KmeansMode, KmeansResult, MINIBATCH_BATCH,
 };
 use crate::project::RandomProjection;
 use crate::select::{select_simpoints, SimPoint};
@@ -182,7 +182,10 @@ impl SimPointStrategy {
     ///
     /// # Errors
     ///
-    /// Returns [`SimPointError::NoSlices`] when `bbvs` is empty.
+    /// Returns [`SimPointError::NoSlices`] when `bbvs` is empty,
+    /// [`SimPointError::ZeroMaxK`] or [`SimPointError::ZeroSampleSize`]
+    /// when no candidate `k` could be scored, [`SimPointError::ZeroMaxIter`]
+    /// when Lloyd would never assign a point, and a kernel error otherwise.
     pub fn analyze(
         &self,
         bbvs: &[Bbv],
@@ -193,12 +196,22 @@ impl SimPointStrategy {
             return Err(SimPointError::NoSlices);
         }
         let o = &self.options;
+        if o.max_k == 0 {
+            return Err(SimPointError::ZeroMaxK);
+        }
+        if o.sample_size == 0 {
+            return Err(SimPointError::ZeroSampleSize);
+        }
+        if o.max_iter == 0 && o.kmeans_mode == KmeansMode::Lloyd {
+            return Err(SimPointError::ZeroMaxIter);
+        }
         let n = bbvs.len();
         let projection = RandomProjection::new(o.dim, o.seed);
         let data = projection.project_all_normalized(bbvs);
 
         // Score candidate k on a subsample when the slice count is large.
-        let (score_data, score_n) = if n > o.sample_size {
+        let subsample;
+        let (score_data, score_n): (&[f64], usize) = if n > o.sample_size {
             let mut rng = Xoshiro256StarStar::seed_from_u64(o.seed ^ 0x5A5A);
             let mut idx: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut idx);
@@ -208,43 +221,58 @@ impl SimPointStrategy {
             for &i in &idx {
                 sub.extend_from_slice(&data[i * o.dim..(i + 1) * o.dim]);
             }
-            (sub, o.sample_size)
+            subsample = sub;
+            (&subsample, o.sample_size)
         } else {
-            (data.clone(), n)
+            (&data, n)
         };
 
         // The clustering kernel: full Lloyd with restarts (the default,
-        // bit-identical to the reference oracle) or the deterministic
-        // mini-batch kernel (single run, tolerance-pinned). The per-k seed
-        // schedule is shared so switching modes never perturbs seeds.
-        let cluster = |data: &[f64], n: usize, k: usize| -> Result<KmeansResult, _> {
-            let seed = o.seed.wrapping_add(k as u64);
+        // bit-identical to the reference oracle), every (k, restart) pair
+        // in one task list, or the deterministic mini-batch kernel (single
+        // run, tolerance-pinned). The per-k seed schedule is shared so
+        // switching modes never perturbs seeds.
+        let cluster = |data: &[f64], n: usize, ks: &[usize]| -> Result<Vec<KmeansResult>, _> {
+            let seeded: Vec<(usize, u64)> = ks
+                .iter()
+                .map(|&k| (k, o.seed.wrapping_add(k as u64)))
+                .collect();
             match o.kmeans_mode {
                 KmeansMode::Lloyd => {
-                    kmeans_best_of_jobs(data, n, o.dim, k, o.max_iter, seed, o.n_init, jobs)
+                    kmeans_sweep_jobs(data, n, o.dim, &seeded, o.max_iter, o.n_init, jobs)
                 }
-                KmeansMode::MiniBatch => kmeans_minibatch(data, n, o.dim, k, seed, MINIBATCH_BATCH),
+                KmeansMode::MiniBatch => seeded
+                    .iter()
+                    .map(|&(k, seed)| kmeans_minibatch(data, n, o.dim, k, seed, MINIBATCH_BATCH))
+                    .collect(),
             }
         };
 
-        let max_k = o.max_k.min(score_n);
-        let mut bic_scores = Vec::with_capacity(max_k);
-        for k in 1..=max_k {
-            let r = cluster(&score_data, score_n, k)?;
-            bic_scores.push((k, bic_score(&r, o.dim)));
-        }
+        let ks: Vec<usize> = (1..=o.max_k.min(score_n)).collect();
+        let mut per_k = cluster(score_data, score_n, &ks)?;
+        let bic_scores: Vec<(usize, f64)> = ks
+            .iter()
+            .zip(&per_k)
+            .map(|(&k, r)| (k, bic_score(r, o.dim)))
+            .collect();
         let best_k = choose_k(&bic_scores, o.bic_threshold);
 
-        // Final clustering at the chosen k over every slice.
-        let final_result: KmeansResult = cluster(&data, n, best_k)?;
+        // Final clustering at the chosen k over every slice. Without a
+        // subsample the sweep already ran it: same data, k and seed.
+        let final_result: KmeansResult = if score_n == n {
+            per_k.swap_remove(best_k - 1)
+        } else {
+            cluster(&data, n, &[best_k])?.remove(0)
+        };
         let points = select_simpoints(&final_result, &data, o.dim);
+        let avg_variance = final_result.avg_variance();
         Ok(SimPointsResult {
             k: best_k,
             slice_size,
-            assignments: final_result.assignments.clone(),
+            assignments: final_result.assignments,
             points,
             bic_scores,
-            avg_variance: final_result.avg_variance(),
+            avg_variance,
         })
     }
 }

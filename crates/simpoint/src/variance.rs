@@ -5,13 +5,16 @@
 //! clusters shrinks — forcing phases to share clusters costs accuracy.
 
 use crate::bbv::Bbv;
-use crate::kmeans::kmeans_best_of;
+use crate::kmeans::kmeans_sweep_jobs;
 use crate::project::RandomProjection;
 use crate::SimPointOptions;
+use sampsim_exec::SERIAL;
 
 /// For each `k` in `ks`, clusters the (normalized, projected) BBVs and
 /// reports the average intra-cluster variance. Returns `(k, variance)`
-/// pairs in the order given.
+/// pairs in the order given. Every `k` is one entry of a single
+/// [`kmeans_sweep_jobs`] call, seeded `seed + k` like SimPoint's own
+/// sweep.
 ///
 /// # Panics
 ///
@@ -21,21 +24,24 @@ pub fn variance_sweep(bbvs: &[Bbv], ks: &[usize], options: &SimPointOptions) -> 
     let projection = RandomProjection::new(options.dim, options.seed);
     let data = projection.project_all_normalized(bbvs);
     let n = bbvs.len();
+    assert!(ks.iter().all(|&k| k > 0), "k must be positive");
+    let seeded: Vec<(usize, u64)> = ks
+        .iter()
+        .map(|&k| (k, options.seed.wrapping_add(k as u64)))
+        .collect();
+    let winners = kmeans_sweep_jobs(
+        &data,
+        n,
+        options.dim,
+        &seeded,
+        options.max_iter,
+        options.n_init,
+        SERIAL,
+    )
+    .expect("validated inputs");
     ks.iter()
-        .map(|&k| {
-            assert!(k > 0, "k must be positive");
-            let r = kmeans_best_of(
-                &data,
-                n,
-                options.dim,
-                k,
-                options.max_iter,
-                options.seed.wrapping_add(k as u64),
-                options.n_init,
-            )
-            .expect("validated inputs");
-            (k, r.avg_variance())
-        })
+        .zip(&winners)
+        .map(|(&k, r)| (k, r.avg_variance()))
         .collect()
 }
 
@@ -90,5 +96,47 @@ mod sweep_extra_tests {
         // Three pure behaviours: k=3 clusters perfectly.
         assert!(sweep[0].1 < 1e-9, "k=3 variance {}", sweep[0].1);
         assert!(sweep[1].1 > sweep[0].1);
+    }
+
+    #[test]
+    fn sweep_matches_the_per_k_loop_bitwise() {
+        use crate::kmeans::kmeans_best_of_reference;
+        let bbvs: Vec<Bbv> = (0..90u32)
+            .map(|i| {
+                Bbv::from_counts(vec![
+                    ((i % 7) * 4, 300 + i % 11),
+                    ((i % 7) * 4 + 1, 50 + i % 5),
+                ])
+            })
+            .collect();
+        let options = SimPointOptions::default();
+        let ks = [5, 1, 12, 3, 90, 200];
+        // The loop `variance_sweep` ran before it shared one task list:
+        // one best-of-restarts clustering per k, seeded `seed + k`, here
+        // through the naive reference kernel so the two sides share no
+        // code past the seed schedule.
+        let data = RandomProjection::new(options.dim, options.seed).project_all_normalized(&bbvs);
+        let per_k: Vec<(usize, f64)> = ks
+            .iter()
+            .map(|&k| {
+                let r = kmeans_best_of_reference(
+                    &data,
+                    bbvs.len(),
+                    options.dim,
+                    k,
+                    options.max_iter,
+                    options.seed.wrapping_add(k as u64),
+                    options.n_init,
+                )
+                .unwrap();
+                (k, r.avg_variance())
+            })
+            .collect();
+        let sweep = variance_sweep(&bbvs, &ks, &options);
+        assert_eq!(sweep.len(), per_k.len());
+        for (&(k, v), &(pk, pv)) in sweep.iter().zip(&per_k) {
+            assert_eq!(k, pk);
+            assert_eq!(v.to_bits(), pv.to_bits(), "k={k}: {v:?} vs {pv:?}");
+        }
     }
 }

@@ -374,6 +374,71 @@ fn simpoint_through_trait_is_bit_identical_to_legacy() {
 }
 
 #[test]
+fn simpoint_analyze_is_bit_identical_across_job_counts_on_both_paths() {
+    // Up to `sample_size` slices, `analyze` scores every candidate k on
+    // the full matrix and reuses the sweep's winner at the chosen k as
+    // its final clustering; above it, k is scored on a subsample and the
+    // final clustering runs again over every slice. Both paths must be
+    // job-count invariant, and on both the final clustering must be
+    // exactly the naive best-of-restarts reference at the chosen k over
+    // every slice.
+    use sampsim::simpoint::kmeans_best_of_reference;
+    use sampsim::simpoint::project::RandomProjection;
+
+    let program = synthetic(61);
+    let (bbvs, _, _) = Pipeline::new(config(false)).profile(&program);
+    let n = bbvs.len();
+    assert!(n >= 30, "need room for a subsample, got {n} slices");
+    for (path, sample_size) in [("subsample", n / 3), ("reuse", n)] {
+        let opts = SimPointOptions {
+            sample_size,
+            ..config(false).simpoint
+        };
+        let serial = SimPointStrategy::new(opts)
+            .analyze(&bbvs, 1_000, sampsim::exec::SERIAL)
+            .unwrap();
+        let data = RandomProjection::new(opts.dim, opts.seed).project_all_normalized(&bbvs);
+        let reference = kmeans_best_of_reference(
+            &data,
+            n,
+            opts.dim,
+            serial.k,
+            opts.max_iter,
+            opts.seed.wrapping_add(serial.k as u64),
+            opts.n_init,
+        )
+        .unwrap();
+        assert_eq!(serial.assignments, reference.assignments, "{path}: final");
+        assert_f64_bits(
+            serial.avg_variance,
+            reference.avg_variance(),
+            &format!("{path}: final variance"),
+        );
+        for jobs in job_grid() {
+            let par = SimPointStrategy::new(opts)
+                .analyze(&bbvs, 1_000, jobs)
+                .unwrap();
+            assert_eq!(par, serial, "{path}: analysis (jobs = {jobs})");
+            assert_f64_bits(
+                par.avg_variance,
+                serial.avg_variance,
+                &format!("{path}: variance bits (jobs = {jobs})"),
+            );
+            for (a, b) in par.bic_scores.iter().zip(&serial.bic_scores) {
+                assert_f64_bits(a.1, b.1, &format!("{path}: BIC k={} (jobs = {jobs})", a.0));
+            }
+            for (a, b) in par.points.iter().zip(&serial.points) {
+                assert_f64_bits(
+                    a.weight,
+                    b.weight,
+                    &format!("{path}: weight (jobs = {jobs})"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn new_strategies_are_bit_identical_across_job_counts() {
     // stratified2p and rss are jobs-oblivious by construction, but the
     // pipeline around them (sharded profiling, cached stages) is not —

@@ -101,7 +101,9 @@ fn pruned_kmeans_matches_reference_bitwise() {
     use sampsim::simpoint::kmeans::kmeans_reference;
     run_cases("pruned-kmeans-bitwise", 48, |g| {
         let n = g.usize_in(4..120);
-        let dim = g.usize_in(1..12);
+        // Up to 20 dimensions: the production 15 and lane rows wider than
+        // one vector register.
+        let dim = g.usize_in(1..21);
         let k = g.usize_in(1..24);
         let max_iter = g.u64_in(0..80) as u32;
         let seed = g.u64_in(0..10_000);
@@ -138,6 +140,61 @@ fn pruned_kmeans_matches_reference_bitwise() {
             assert_eq!(a.to_bits(), b.to_bits(), "centroid {a} vs {b}");
         }
         assert_eq!(pruned.cluster_sizes(), naive.cluster_sizes());
+    });
+}
+
+/// The one-task-list sweep returns, for every `k`, exactly the winner a
+/// serial per-`k` loop of the naive best-of-restarts reference picks —
+/// every bit, for any job count, including `k > n` (capped at `n`) and
+/// duplicated points.
+#[test]
+fn sweep_matches_per_k_reference() {
+    use sampsim::exec::Jobs;
+    use sampsim::simpoint::kmeans::{kmeans_best_of_reference, kmeans_sweep_jobs};
+    run_cases("sweep-per-k-reference", 32, |g| {
+        let n = g.usize_in(2..80);
+        let dim = g.usize_in(1..21);
+        let n_init = g.u64_in(1..4) as u32;
+        let max_iter = g.u64_in(1..60) as u32;
+        let seed = g.u64_in(0..10_000);
+        let mut rng = sampsim::util::rng::Xoshiro256StarStar::seed_from_u64(seed);
+        let data: Vec<f64> = if g.chance(0.3) {
+            let distinct = g.usize_in(1..4);
+            let protos: Vec<f64> = (0..distinct * dim).map(|_| rng.next_f64() * 10.0).collect();
+            (0..n)
+                .flat_map(|i| {
+                    let p = i % distinct;
+                    protos[p * dim..(p + 1) * dim].to_vec()
+                })
+                .collect()
+        } else {
+            (0..n * dim).map(|_| rng.next_f64() * 10.0 - 5.0).collect()
+        };
+        let ks: Vec<(usize, u64)> =
+            g.vec_of(1..8, |g| (g.usize_in(1..n + 10), g.u64_in(0..10_000)));
+        let jobs = match g.usize_in(0..4) {
+            0 => Jobs::Auto,
+            j => Jobs::new(j).unwrap(),
+        };
+        let sweep = kmeans_sweep_jobs(&data, n, dim, &ks, max_iter, n_init, jobs).unwrap();
+        assert_eq!(sweep.len(), ks.len());
+        for (got, &(k, k_seed)) in sweep.iter().zip(&ks) {
+            let want =
+                kmeans_best_of_reference(&data, n, dim, k, max_iter, k_seed, n_init).unwrap();
+            let what = format!("k={k} n={n} dim={dim} n_init={n_init} jobs={jobs}");
+            assert_eq!(got.k, want.k, "{what}: k");
+            assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+            assert_eq!(got.assignments, want.assignments, "{what}: assignments");
+            assert_eq!(
+                got.inertia.to_bits(),
+                want.inertia.to_bits(),
+                "{what}: inertia"
+            );
+            assert_eq!(got.centroids.len(), want.centroids.len(), "{what}");
+            for (a, b) in got.centroids.iter().zip(&want.centroids) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: centroid {a} vs {b}");
+            }
+        }
     });
 }
 
