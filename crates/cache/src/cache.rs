@@ -312,6 +312,13 @@ impl Cache {
         self.reset_stats();
     }
 
+    /// Counts a hit the caller knows changes no state (see
+    /// [`crate::Hierarchy::fetch`]) without probing.
+    #[inline]
+    pub(crate) fn count_hit(&mut self, count: bool) {
+        self.stats.accesses += u64::from(count);
+    }
+
     /// Probes and updates the cache for `addr`. Returns `true` on a hit.
     /// When `count` is false the access updates state but not counters
     /// (warmup mode).

@@ -89,6 +89,11 @@ pub struct Hierarchy {
     dtlb: Tlb,
     warmup: bool,
     prefetches: u64,
+    /// L1I line of the previous fetch: resident and most recent in its
+    /// set, since only [`Hierarchy::fetch`] touches the L1I.
+    last_fetch_line: Option<u64>,
+    /// `log2` of the L1I line size.
+    fetch_line_shift: u32,
 }
 
 impl Hierarchy {
@@ -104,6 +109,8 @@ impl Hierarchy {
             dtlb: Tlb::new(config.dtlb),
             warmup: false,
             prefetches: 0,
+            last_fetch_line: None,
+            fetch_line_shift: config.l1i.line_bytes.trailing_zeros(),
         }
     }
 
@@ -155,10 +162,22 @@ impl Hierarchy {
     }
 
     /// An instruction fetch at `pc`. Returns the level that satisfied it.
+    ///
+    /// A fetch from the line the previous fetch touched is an L1I hit that
+    /// changes no replacement state under any policy (the line is already
+    /// the most recent way of its set; FIFO and random hits never reorder;
+    /// a tree-PLRU re-touch is idempotent; a skipped stamp bump keeps
+    /// every set's order), so it is only counted, not probed.
     #[inline]
     pub fn fetch(&mut self, pc: u64) -> Level {
         let count = !self.warmup;
         self.itlb.access(pc, count);
+        let line = pc >> self.fetch_line_shift;
+        if self.last_fetch_line == Some(line) {
+            self.l1i.count_hit(count);
+            return Level::L1I;
+        }
+        self.last_fetch_line = Some(line);
         if self.l1i.access(pc, count) {
             return Level::L1I;
         }
@@ -217,6 +236,8 @@ impl Hierarchy {
         let dtlb_cfg = *self.dtlb.config();
         self.itlb = Tlb::new(itlb_cfg);
         self.dtlb = Tlb::new(dtlb_cfg);
+        self.prefetches = 0;
+        self.last_fetch_line = None;
     }
 }
 
@@ -250,6 +271,22 @@ mod tests {
         assert_eq!(s.l1i.accesses, 2);
         assert_eq!(s.l1d.accesses, 0);
         assert_eq!(s.itlb.accesses, 2);
+    }
+
+    #[test]
+    fn same_line_fetches_count_as_l1i_hits() {
+        let mut h = Hierarchy::new(configs::i7_table3());
+        assert_eq!(h.fetch(0x40_0000), Level::Mem);
+        assert_eq!(h.fetch(0x40_0004), Level::L1I);
+        h.set_warmup(true);
+        assert_eq!(h.fetch(0x40_0008), Level::L1I);
+        h.set_warmup(false);
+        let s = h.stats();
+        assert_eq!((s.l1i.accesses, s.l1i.misses), (2, 1));
+        assert_eq!(s.itlb.accesses, 2);
+        // A flush forgets the line, so the next fetch misses again.
+        h.flush();
+        assert_eq!(h.fetch(0x40_000C), Level::Mem);
     }
 
     #[test]
@@ -368,6 +405,17 @@ mod prefetch_tests {
         );
         // Demand access counts are unchanged by (uncounted) prefetch fills.
         assert_eq!(pf.l1d.accesses, base.l1d.accesses);
+    }
+
+    #[test]
+    fn flush_resets_prefetch_counter() {
+        let mut cfg = configs::i7_table3();
+        cfg.next_line_prefetch = true;
+        let mut h = Hierarchy::new(cfg);
+        h.access_data(0x10_0000, false);
+        assert_eq!(h.stats().prefetches, 1);
+        h.flush();
+        assert_eq!(h.stats(), HierarchyStats::default());
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub mod tlb;
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, Level};
 pub use policy::ReplacementPolicy;
-pub use reference::ReferenceCache;
+pub use reference::{ReferenceCache, ReferenceTlb};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

@@ -1,4 +1,5 @@
-//! The pre-optimization cache model, frozen as a differential oracle.
+//! The pre-optimization cache and TLB models, frozen as differential
+//! oracles.
 //!
 //! [`ReferenceCache`] is the original zipped tag+stamp implementation of
 //! [`crate::Cache`], kept verbatim so the packed fast path can be checked
@@ -7,9 +8,13 @@
 //! `cache_access_rw_reference`. Counters, per-access hit/miss results and
 //! eviction choices are contractual between the two models; internal
 //! bookkeeping (stamps vs. packed recency words) is not.
+//!
+//! [`ReferenceTlb`] is the original full-scan [`crate::Tlb`], the oracle
+//! for its page→slot hint fast path under the same contract.
 
 use crate::cache::{CacheConfig, CacheStats};
 use crate::policy::PolicyState;
+use crate::tlb::{TlbConfig, TlbStats};
 
 const INVALID: u64 = u64::MAX;
 
@@ -149,5 +154,76 @@ impl ReferenceCache {
         let set = (line & self.set_mask) as usize;
         let base = set * self.ways;
         self.tags[base..base + self.ways].contains(&line)
+    }
+}
+
+/// The original fully associative LRU TLB: every access scans all
+/// entries, returning on the first page match and otherwise filling the
+/// min-stamp entry (lowest index on ties).
+#[derive(Debug, Clone)]
+pub struct ReferenceTlb {
+    config: TlbConfig,
+    pages: Vec<u64>,
+    stamps: Vec<u64>,
+    clock: u64,
+    stats: TlbStats,
+    page_shift: u32,
+}
+
+impl ReferenceTlb {
+    /// Creates an empty TLB.
+    pub fn new(config: TlbConfig) -> Self {
+        Self {
+            config,
+            pages: vec![INVALID; config.entries as usize],
+            stamps: vec![0; config.entries as usize],
+            clock: 0,
+            stats: TlbStats::default(),
+            page_shift: config.page_bytes.trailing_zeros(),
+        }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &TlbConfig {
+        &self.config
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> TlbStats {
+        self.stats
+    }
+
+    /// Resets counters, keeping translations resident.
+    pub fn reset_stats(&mut self) {
+        self.stats = TlbStats::default();
+    }
+
+    /// Translates `addr`. Returns `true` on a hit; misses install the page.
+    /// When `count` is false the access is not counted (warmup).
+    #[inline]
+    pub fn access(&mut self, addr: u64, count: bool) -> bool {
+        let page = addr >> self.page_shift;
+        self.clock += 1;
+        if count {
+            self.stats.accesses += 1;
+        }
+        let mut victim = 0usize;
+        let mut victim_stamp = u64::MAX;
+        for (i, &p) in self.pages.iter().enumerate() {
+            if p == page {
+                self.stamps[i] = self.clock;
+                return true;
+            }
+            if self.stamps[i] < victim_stamp {
+                victim_stamp = self.stamps[i];
+                victim = i;
+            }
+        }
+        if count {
+            self.stats.misses += 1;
+        }
+        self.pages[victim] = page;
+        self.stamps[victim] = self.clock;
+        false
     }
 }

@@ -64,6 +64,13 @@ impl TlbStats {
 }
 
 /// A fully associative, LRU translation lookaside buffer.
+///
+/// Residency and victim choice are the min-stamp scan of
+/// [`crate::reference::ReferenceTlb`]. A hit skips the scan when a
+/// page→slot hint table already names the page's slot: resident pages are
+/// unique, so a hint whose slot holds the page *is* the slot the scan
+/// would find. Per-access results and counters are checked against the
+/// reference in `tests/differential.rs`.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
@@ -72,9 +79,15 @@ pub struct Tlb {
     clock: u64,
     stats: TlbStats,
     page_shift: u32,
+    /// Last slot seen holding each page, indexed by the page's low bits.
+    /// A hint may be stale; it is only trusted after `pages[slot] == page`.
+    hints: Box<[u32; HINTS]>,
 }
 
 const INVALID: u64 = u64::MAX;
+
+/// Hint-table size (a power of two; indexed by `page & (HINTS - 1)`).
+const HINTS: usize = 1024;
 
 impl Tlb {
     /// Creates an empty TLB.
@@ -86,6 +99,7 @@ impl Tlb {
             clock: 0,
             stats: TlbStats::default(),
             page_shift: config.page_bytes.trailing_zeros(),
+            hints: Box::new([0; HINTS]),
         }
     }
 
@@ -113,11 +127,21 @@ impl Tlb {
         if count {
             self.stats.accesses += 1;
         }
+        let hint = &mut self.hints[page as usize & (HINTS - 1)];
+        let slot = *hint as usize;
+        // Only INVALID (the all-ones page) can sit in several slots, and
+        // its hint always names the lowest of them, as the scan would: a
+        // lower slot turns INVALID only by a fill, which moves the hint.
+        if self.pages[slot] == page {
+            self.stamps[slot] = self.clock;
+            return true;
+        }
         let mut victim = 0usize;
         let mut victim_stamp = u64::MAX;
         for (i, &p) in self.pages.iter().enumerate() {
             if p == page {
                 self.stamps[i] = self.clock;
+                *hint = i as u32;
                 return true;
             }
             if self.stamps[i] < victim_stamp {
@@ -130,6 +154,7 @@ impl Tlb {
         }
         self.pages[victim] = page;
         self.stamps[victim] = self.clock;
+        *hint = victim as u32;
         false
     }
 }

@@ -10,11 +10,13 @@
 //!    (simpoint, stratified2p) are seed-resampled — replicate `r` shifts
 //!    the strategy's master seed by `r · φ64` (replicate 0 is the base
 //!    configuration); `rss` produces its replicate sets natively.
-//! 2. Replay every replicate's regions in the timing model and form the
-//!    weighted aggregate (CPI + per-level cache miss rates). Replicates
-//!    share one warmup policy — the plain preceding-window warmup that
-//!    synthetic point sets get — so strategies are compared like for
-//!    like.
+//! 2. Replay each distinct slice any replicate of any strategy chose,
+//!    once, in the timing model (one flat task list over `jobs`), then
+//!    form every replicate's weighted aggregate (CPI + per-level cache
+//!    miss rates) from the shared results with its own point weights.
+//!    Replicates share one warmup policy — the plain preceding-window
+//!    warmup that synthetic point sets get — so strategies are compared
+//!    like for like, and a region's replay depends on its slice alone.
 //! 3. Report each metric as mean over replicates, a normal-theory 95%
 //!    confidence half-width (`1.96·s/√R`), and the relative error of the
 //!    mean against truth.
@@ -28,7 +30,7 @@
 //! is how `scripts/check.sh` fails loudly on registry drift.
 
 use crate::error::CoreError;
-use crate::metrics::{aggregate_weighted, whole_as_aggregate, AggregatedMetrics};
+use crate::metrics::{aggregate_weighted, whole_as_aggregate, AggregatedMetrics, RunMetrics};
 use crate::pipeline::{PinPointsConfig, Pipeline};
 use crate::runs::{run_regions_timing_jobs, run_whole_timing, WarmupMode};
 use sampsim_cache::configs;
@@ -41,7 +43,7 @@ use sampsim_simpoint::{
 use sampsim_uarch::CoreConfig;
 use sampsim_util::json::{self, Schema};
 use sampsim_util::stats::{relative_error_pct, Summary};
-use sampsim_workload::Program;
+use sampsim_workload::{Cursor, Program};
 
 /// Schema identifier stamped into every compare report.
 pub const SCHEMA: &str = "sampsim-compare/v1";
@@ -158,82 +160,37 @@ pub fn compare_strategies(
         CoreConfig::table3(),
         configs::i7_table3(),
     ));
-    let truth_cpi = truth.cpi.expect("timing truth carries CPI");
-    let truth_mr = truth.miss_rates.expect("timing truth carries miss rates");
     let reps = replicates.max(1);
 
-    let mut strategies = Vec::with_capacity(STRATEGY_NAMES.len());
-    for spec in StrategySpec::registry() {
-        // Replicate selections: native for rss, seed-resampled otherwise.
-        let point_sets: Vec<Vec<SimPoint>> = match &spec {
-            StrategySpec::Rss(base) => {
-                let rss = Rss::new(RssOptions {
-                    replicates: reps,
-                    ..*base
-                });
-                rss.select(&input, jobs)?.replicates
-            }
-            _ => {
-                let mut sets = Vec::with_capacity(reps);
-                for r in 0..reps as u64 {
-                    let simpoint = if matches!(spec, StrategySpec::SimPoint) {
-                        reseeded_simpoint_options(&config.simpoint, r)
-                    } else {
-                        config.simpoint
-                    };
-                    let strategy = spec.reseeded(r).build(&simpoint);
-                    sets.push(strategy.select(&input, jobs)?.points);
-                }
-                sets
-            }
-        };
-
-        let mut cpi = Vec::with_capacity(point_sets.len());
-        let mut l1i = Vec::with_capacity(point_sets.len());
-        let mut l1d = Vec::with_capacity(point_sets.len());
-        let mut l2 = Vec::with_capacity(point_sets.len());
-        let mut l3 = Vec::with_capacity(point_sets.len());
-        for points in &point_sets {
-            // Synthetic result: empty assignments give every replicate of
-            // every strategy the same plain preceding-window warmup.
-            let simpoints = SimPointsResult {
-                k: points.len(),
-                slice_size: config.slice_size,
-                assignments: Vec::new(),
-                points: points.clone(),
-                bic_scores: Vec::new(),
-                avg_variance: 0.0,
-            };
-            let regional = pipeline.regionals_for(program, &simpoints, &starts);
-            let measured = run_regions_timing_jobs(
-                program,
-                &regional,
-                CoreConfig::table3(),
-                configs::i7_table3(),
-                WarmupMode::Checkpointed,
-                jobs,
-            )?;
-            let agg = aggregate_weighted(&measured);
-            cpi.push(agg.cpi.expect("timing replay carries CPI"));
-            let mr = agg.miss_rates.expect("timing replay carries miss rates");
-            l1i.push(mr.l1i);
-            l1d.push(mr.l1d);
-            l2.push(mr.l2);
-            l3.push(mr.l3);
-        }
-        strategies.push(StrategyReport {
-            strategy: spec.name().to_string(),
-            regions: point_sets[0].len(),
-            replicates: point_sets.len(),
-            cpi: Estimate::from_samples(&cpi, truth_cpi),
-            miss_rates: MissRateEstimates {
-                l1i: Estimate::from_samples(&l1i, truth_mr.l1i),
-                l1d: Estimate::from_samples(&l1d, truth_mr.l1d),
-                l2: Estimate::from_samples(&l2, truth_mr.l2),
-                l3: Estimate::from_samples(&l3, truth_mr.l3),
-            },
-        });
-    }
+    let registry = StrategySpec::registry();
+    let selections = registry
+        .iter()
+        .map(|spec| replicate_selections(spec, &input, config, reps, jobs))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (slices, replayed) =
+        replay_distinct_slices(program, &pipeline, &starts, &selections, jobs)?;
+    let strategies = registry
+        .iter()
+        .zip(&selections)
+        .map(|(spec, point_sets)| {
+            let aggregates: Vec<AggregatedMetrics> = point_sets
+                .iter()
+                .map(|points| {
+                    let regions: Vec<(RunMetrics, f64)> = points
+                        .iter()
+                        .map(|p| {
+                            let i = slices
+                                .binary_search(&p.slice)
+                                .expect("every selected slice was replayed");
+                            (replayed[i].clone(), p.weight)
+                        })
+                        .collect();
+                    aggregate_weighted(&regions)
+                })
+                .collect();
+            strategy_row(spec.name(), point_sets, &aggregates, &truth)
+        })
+        .collect();
     Ok(CompareReport {
         bench: program.name().to_string(),
         slices: bbvs.len() as u64,
@@ -242,6 +199,130 @@ pub fn compare_strategies(
         truth,
         strategies,
     })
+}
+
+/// One strategy's `reps` replicate selections: native for rss,
+/// seed-resampled otherwise (replicate `r` shifts the master seed by
+/// `r · φ64`).
+fn replicate_selections(
+    spec: &StrategySpec,
+    input: &StrategyInput<'_>,
+    config: &PinPointsConfig,
+    reps: usize,
+    jobs: Jobs,
+) -> Result<Vec<Vec<SimPoint>>, CoreError> {
+    if let StrategySpec::Rss(base) = spec {
+        let rss = Rss::new(RssOptions {
+            replicates: reps,
+            ..*base
+        });
+        return Ok(rss.select(input, jobs)?.replicates);
+    }
+    let mut sets = Vec::with_capacity(reps);
+    for r in 0..reps as u64 {
+        let simpoint = if matches!(spec, StrategySpec::SimPoint) {
+            reseeded_simpoint_options(&config.simpoint, r)
+        } else {
+            config.simpoint
+        };
+        let strategy = spec.reseeded(r).build(&simpoint);
+        sets.push(strategy.select(input, jobs)?.points);
+    }
+    Ok(sets)
+}
+
+/// A synthetic analysis result for `points`. Empty assignments give
+/// every region the plain preceding-window warmup.
+fn synthetic_result(points: Vec<SimPoint>, slice_size: u64) -> SimPointsResult {
+    SimPointsResult {
+        k: points.len(),
+        slice_size,
+        assignments: Vec::new(),
+        points,
+        bic_scores: Vec::new(),
+        avg_variance: 0.0,
+    }
+}
+
+/// Replays every distinct slice in `selections` once, in one task list
+/// over `jobs`, and returns the sorted slices with their metrics.
+///
+/// This equals replaying each replicate's regions separately. With empty
+/// assignments a region's pinball — start, length and preceding-window
+/// warmup — depends only on its slice, and a point's weight and cluster
+/// never reach [`RunMetrics`]; weights are applied per replicate
+/// afterwards. The only replay error is a pinball/program digest
+/// mismatch, which cannot happen for pinballs built from `program`.
+fn replay_distinct_slices(
+    program: &Program,
+    pipeline: &Pipeline,
+    starts: &[Cursor],
+    selections: &[Vec<Vec<SimPoint>>],
+    jobs: Jobs,
+) -> Result<(Vec<u64>, Vec<RunMetrics>), CoreError> {
+    let mut slices: Vec<u64> = selections
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|p| p.slice)
+        .collect();
+    slices.sort_unstable();
+    slices.dedup();
+    let points = slices
+        .iter()
+        .map(|&slice| SimPoint {
+            slice,
+            cluster: 0,
+            weight: 0.0,
+        })
+        .collect();
+    let distinct = synthetic_result(points, pipeline.config().slice_size);
+    let regional = pipeline.regionals_for(program, &distinct, starts);
+    let replayed = run_regions_timing_jobs(
+        program,
+        &regional,
+        CoreConfig::table3(),
+        configs::i7_table3(),
+        WarmupMode::Checkpointed,
+        jobs,
+    )?;
+    Ok((slices, replayed.into_iter().map(|(m, _)| m).collect()))
+}
+
+/// A strategy's row from its replicate selections and their aggregates.
+fn strategy_row(
+    name: &str,
+    point_sets: &[Vec<SimPoint>],
+    aggregates: &[AggregatedMetrics],
+    truth: &AggregatedMetrics,
+) -> StrategyReport {
+    let truth_cpi = truth.cpi.expect("timing truth carries CPI");
+    let truth_mr = truth.miss_rates.expect("timing truth carries miss rates");
+    let mut cpi = Vec::with_capacity(aggregates.len());
+    let mut l1i = Vec::with_capacity(aggregates.len());
+    let mut l1d = Vec::with_capacity(aggregates.len());
+    let mut l2 = Vec::with_capacity(aggregates.len());
+    let mut l3 = Vec::with_capacity(aggregates.len());
+    for agg in aggregates {
+        cpi.push(agg.cpi.expect("timing replay carries CPI"));
+        let mr = agg.miss_rates.expect("timing replay carries miss rates");
+        l1i.push(mr.l1i);
+        l1d.push(mr.l1d);
+        l2.push(mr.l2);
+        l3.push(mr.l3);
+    }
+    StrategyReport {
+        strategy: name.to_string(),
+        regions: point_sets[0].len(),
+        replicates: point_sets.len(),
+        cpi: Estimate::from_samples(&cpi, truth_cpi),
+        miss_rates: MissRateEstimates {
+            l1i: Estimate::from_samples(&l1i, truth_mr.l1i),
+            l1d: Estimate::from_samples(&l1d, truth_mr.l1d),
+            l2: Estimate::from_samples(&l2, truth_mr.l2),
+            l3: Estimate::from_samples(&l3, truth_mr.l3),
+        },
+    }
 }
 
 impl CompareReport {
@@ -409,6 +490,81 @@ mod tests {
                 .unwrap()
                 .to_json();
             assert_eq!(report, reference, "jobs = {jobs}");
+        }
+    }
+
+    /// The replay loop before distinct slices were shared: every
+    /// replicate builds and replays its own regions, weights included.
+    /// Returns the report bytes, the points replayed and the distinct
+    /// slices among them.
+    fn per_replicate_report(
+        program: &Program,
+        config: &PinPointsConfig,
+        reps: usize,
+        jobs: Jobs,
+    ) -> (String, usize, usize) {
+        let pipeline = Pipeline::new(config.clone());
+        let (bbvs, starts, _) = pipeline.profile_jobs(program, jobs);
+        let input = StrategyInput {
+            bbvs: &bbvs,
+            slice_size: config.slice_size,
+        };
+        let truth = whole_as_aggregate(&run_whole_timing(
+            program,
+            CoreConfig::table3(),
+            configs::i7_table3(),
+        ));
+        let mut strategies = Vec::new();
+        let mut slices = Vec::new();
+        for spec in StrategySpec::registry() {
+            let point_sets = replicate_selections(&spec, &input, config, reps, jobs).unwrap();
+            let aggregates: Vec<AggregatedMetrics> = point_sets
+                .iter()
+                .map(|points| {
+                    slices.extend(points.iter().map(|p| p.slice));
+                    let simpoints = synthetic_result(points.clone(), config.slice_size);
+                    let regional = pipeline.regionals_for(program, &simpoints, &starts);
+                    let measured = run_regions_timing_jobs(
+                        program,
+                        &regional,
+                        CoreConfig::table3(),
+                        configs::i7_table3(),
+                        WarmupMode::Checkpointed,
+                        jobs,
+                    )
+                    .unwrap();
+                    aggregate_weighted(&measured)
+                })
+                .collect();
+            strategies.push(strategy_row(spec.name(), &point_sets, &aggregates, &truth));
+        }
+        let replayed = slices.len();
+        slices.sort_unstable();
+        slices.dedup();
+        let report = CompareReport {
+            bench: program.name().to_string(),
+            slices: bbvs.len() as u64,
+            slice_size: config.slice_size,
+            replicates: reps,
+            truth,
+            strategies,
+        };
+        (report.to_json(), replayed, slices.len())
+    }
+
+    #[test]
+    fn shared_replays_match_per_replicate_replays() {
+        let program = program();
+        for jobs in [sampsim_exec::SERIAL, Jobs::new(2).unwrap(), Jobs::Auto] {
+            let (expected, replayed, distinct) = per_replicate_report(&program, &config(), 3, jobs);
+            assert!(
+                distinct < replayed,
+                "replicates must share slices for this test to bite ({distinct} of {replayed})"
+            );
+            let report = compare_strategies(&program, &config(), 3, jobs)
+                .unwrap()
+                .to_json();
+            assert_eq!(report, expected, "jobs = {jobs}");
         }
     }
 

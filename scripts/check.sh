@@ -95,6 +95,13 @@ compare_report="$serve_dir/compare.json"
 "$sampsim_bin" compare omnetpp_s --scale 0.002 --maxk 6 --reps 2 \
     -o "$compare_report" > /dev/null 2> /dev/null
 "$sampsim_bin" compare --validate "$compare_report"
+# The same study on one worker must produce the same bytes: every
+# distinct region is replayed once in one flat task list, whatever the
+# job count.
+"$sampsim_bin" compare omnetpp_s --scale 0.002 --maxk 6 --reps 2 --jobs 1 \
+    -o "$serve_dir/compare-jobs1.json" > /dev/null 2> /dev/null
+cmp "$compare_report" "$serve_dir/compare-jobs1.json" \
+    || { echo "compare smoke: report differs between default jobs and --jobs 1" >&2; exit 1; }
 # Belt and braces against registry drift: every strategy the CLI itself
 # advertises in its usage text must have a row in the report, so adding a
 # strategy to the CLI without teaching `compare` about it fails loudly.
