@@ -126,6 +126,10 @@ enum ProbeMode {
     /// Random / tree-PLRU: the policy selects victims itself and no
     /// recency state is kept in the cache.
     Policy,
+    /// Direct-mapped, under any policy: a set's single way is both the
+    /// only hit candidate and the only victim, so no replacement state is
+    /// kept at all (Table I's L2 and L3).
+    Direct,
 }
 
 /// Returns the packed order word of an empty set: recency position `p`
@@ -170,7 +174,8 @@ const META_ORDER_MASK: u64 = 0xFFFF_FFFF;
 /// set and defined exactly this order, so counters, per-access results
 /// and eviction choices are bit-identical to the stamp implementation —
 /// enforced differentially against [`crate::reference::ReferenceCache`]
-/// in `tests/differential.rs`.
+/// in `tests/differential.rs`. A direct-mapped cache keeps only tags and
+/// dirty flags: with one way there is no order to track.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -198,6 +203,14 @@ pub struct Cache {
     stamps: Vec<u64>,
     clock: u64,
     policy: PolicyState,
+    /// Sets whose empty way took a fill since construction or the last
+    /// [`Cache::reset`], in fill order (a set may repeat). The log stops
+    /// growing past `touched_cap` entries; a longer log means "reset in
+    /// full".
+    touched: Vec<u32>,
+    /// Longest log [`Cache::reset`] replays set by set (`sets / 16`), or
+    /// `None` for caches that keep no log and always reset in full.
+    touched_cap: Option<usize>,
 }
 
 impl Cache {
@@ -212,7 +225,9 @@ impl Cache {
             config.ways,
             0xCAC4E ^ config.size_bytes,
         );
-        let mode = if policy.stamp_based() {
+        let mode = if ways == 1 {
+            ProbeMode::Direct
+        } else if policy.stamp_based() {
             if ways == 8 {
                 ProbeMode::Packed8 {
                     refresh: policy.refresh_on_hit(),
@@ -278,6 +293,13 @@ impl Cache {
             },
             clock: 0,
             policy,
+            touched: Vec::new(),
+            // 1-byte lines: the all-ones address is the invalid tag and can
+            // "hit" an empty way without a fill, so a log would miss it.
+            // The branchless 8-way probe would lose about a quarter of its
+            // speed to the logging check; its sets are 72 bytes each.
+            touched_cap: (config.line_bytes > 1 && !packed8 && sets <= 1 << 32)
+                .then_some((sets / 16) as usize),
         }
     }
 
@@ -297,19 +319,93 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Invalidates all lines and resets counters.
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.tags8.fill([INVALID; 8]);
-        self.meta.fill(initial_order(8));
-        self.dirty.fill(false);
-        if !self.order.is_empty() {
-            self.order.fill(initial_order(self.ways));
+    /// Restores the exact state [`Cache::new`] builds: every line
+    /// invalid, replacement order, dirty bits, stamps and tree-PLRU bits
+    /// at their initial values, the random-replacement RNG reseeded, and
+    /// counters zeroed.
+    ///
+    /// The cost is proportional to the sets filled since the last reset,
+    /// not to the capacity. A set changes state only through a fill of an
+    /// empty way (a pristine set holds nothing to hit), and every such
+    /// fill logs its set, so clearing the logged sets restores the rest.
+    /// A log longer than `sets / 16` falls back to a full clear (the log
+    /// stops growing there, so a long-lived cache never grows an unbounded
+    /// one). Caches with 1-byte lines, where the all-ones address *is* the
+    /// invalid tag and can "hit" an empty way without a fill, and 8-way
+    /// caches, whose branchless probe keeps no log, always clear in full.
+    pub fn reset(&mut self) {
+        let logged = self
+            .touched_cap
+            .is_some_and(|cap| self.touched.len() <= cap);
+        if !logged {
+            self.tags.fill(INVALID);
+            self.tags8.fill([INVALID; 8]);
+            self.meta.fill(initial_order(8));
+            self.dirty.fill(false);
+            if !self.order.is_empty() {
+                // Only packed caches (at most 16 ways) have order words.
+                self.order.fill(initial_order(self.ways));
+            }
+            self.dirty_mask.fill(0);
+            self.stamps.fill(0);
+            self.policy.clear_all();
+        } else {
+            let touched = std::mem::take(&mut self.touched);
+            for &set in &touched {
+                self.clear_set(set as usize);
+            }
+            self.touched = touched;
         }
-        self.dirty_mask.fill(0);
-        self.stamps.fill(0);
+        self.touched.clear();
         self.clock = 0;
+        self.policy.reseed();
         self.reset_stats();
+    }
+
+    /// Returns one set to its constructed state.
+    fn clear_set(&mut self, set: usize) {
+        let entries = set * self.ways..(set + 1) * self.ways;
+        match self.mode {
+            ProbeMode::Packed8 { .. } => unreachable!("8-way caches keep no fill log"),
+            ProbeMode::Packed { .. } => {
+                self.tags[entries].fill(INVALID);
+                self.order[set] = initial_order(self.ways);
+                self.dirty_mask[set] = 0;
+            }
+            ProbeMode::Stamped => {
+                self.tags[entries.clone()].fill(INVALID);
+                self.dirty[entries.clone()].fill(false);
+                self.stamps[entries].fill(0);
+            }
+            ProbeMode::Policy => {
+                self.tags[entries.clone()].fill(INVALID);
+                self.dirty[entries].fill(false);
+                self.policy.clear_set(set);
+            }
+            ProbeMode::Direct => {
+                self.tags[set] = INVALID;
+                self.dirty[set] = false;
+            }
+        }
+    }
+
+    /// Logs a fill of an empty way in `set` for [`Cache::reset`]. Kept
+    /// out of line: the probe paths only branch to it.
+    #[cold]
+    #[inline(never)]
+    fn log_fill(&mut self, set: usize) {
+        if self
+            .touched_cap
+            .is_some_and(|cap| self.touched.len() <= cap)
+        {
+            self.touched.push(set as u32);
+        }
+    }
+
+    /// Invalidates all lines and resets counters: a cold restart, the
+    /// same state as [`Cache::reset`] (and [`Cache::new`]).
+    pub fn flush(&mut self) {
+        self.reset();
     }
 
     /// Counts a hit the caller knows changes no state (see
@@ -351,7 +447,27 @@ impl Cache {
                 let base = set * self.ways;
                 self.access_policy(line, set, base, is_write, count)
             }
+            ProbeMode::Direct => self.access_direct(line, set, is_write, count),
         }
+    }
+
+    /// Direct-mapped: one tag compare; a miss replaces the set's line.
+    #[inline]
+    fn access_direct(&mut self, tag: u64, set: usize, is_write: bool, count: bool) -> bool {
+        let old = self.tags[set];
+        if old == tag {
+            self.dirty[set] |= is_write;
+            return true;
+        }
+        self.stats.misses += u64::from(count);
+        if old == INVALID {
+            self.log_fill(set);
+        } else if self.dirty[set] && count {
+            self.stats.writebacks += 1;
+        }
+        self.tags[set] = tag;
+        self.dirty[set] = is_write;
+        false
     }
 
     /// The 8-way specialization: the tag row is a `[u64; 8]` (one cache
@@ -459,10 +575,14 @@ impl Cache {
         self.order[set] = ((order << 4) & self.order_mask) | victim as u64;
         let slot = base + victim;
         let dirty = self.dirty_mask[set];
-        let evict_dirty = self.tags[slot] != INVALID && (dirty >> victim) & 1 != 0;
+        let was_empty = self.tags[slot] == INVALID;
+        let evict_dirty = !was_empty && (dirty >> victim) & 1 != 0;
         self.stats.writebacks += u64::from(evict_dirty && count);
         self.dirty_mask[set] = (dirty & !(1u64 << victim)) | (u64::from(is_write) << victim);
         self.tags[slot] = tag;
+        if was_empty {
+            self.log_fill(set);
+        }
         false
     }
 
@@ -471,7 +591,7 @@ impl Cache {
     fn access_stamped(
         &mut self,
         tag: u64,
-        _set: usize,
+        set: usize,
         base: usize,
         is_write: bool,
         count: bool,
@@ -505,7 +625,9 @@ impl Cache {
             self.stats.misses += 1;
         }
         let slot = base + stamp_victim;
-        if self.tags[slot] != INVALID && self.dirty[slot] && count {
+        if self.tags[slot] == INVALID {
+            self.log_fill(set);
+        } else if self.dirty[slot] && count {
             self.stats.writebacks += 1;
         }
         self.tags[slot] = tag;
@@ -541,7 +663,9 @@ impl Cache {
             .victim(set, ways)
             .expect("non-stamp policies select their own victims");
         let slot = base + victim;
-        if self.tags[slot] != INVALID && self.dirty[slot] && count {
+        if self.tags[slot] == INVALID {
+            self.log_fill(set);
+        } else if self.dirty[slot] && count {
             self.stats.writebacks += 1;
         }
         self.tags[slot] = tag;
@@ -718,6 +842,37 @@ mod policy_tests {
         // never the most recently inserted one.
         c.access(4 * 64, true);
         assert!(c.peek(3 * 64), "most recent line survives under PLRU");
+    }
+
+    #[test]
+    fn flushed_cache_replays_like_a_fresh_one_under_every_policy() {
+        // Random replacement draws victims from an RNG; a flush must
+        // rewind it, or the flushed cache evicts differently.
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+            ReplacementPolicy::TreePlru,
+        ] {
+            let config = CacheConfig::new(4096, 4, 32, 1).with_policy(policy);
+            let stream = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & 0x3FFF;
+            let mut flushed = Cache::new(config);
+            for i in 0..4_000u64 {
+                flushed.access_rw(stream(i + 7_919), i % 3 == 0, true);
+            }
+            flushed.flush();
+            let mut fresh = Cache::new(config);
+            for i in 0..4_000u64 {
+                let (addr, write) = (stream(i), i % 5 == 0);
+                assert_eq!(
+                    flushed.access_rw(addr, write, true),
+                    fresh.access_rw(addr, write, true),
+                    "{policy:?}: access #{i}"
+                );
+            }
+            assert_eq!(flushed.stats(), fresh.stats(), "{policy:?}");
+            assert!(fresh.stats().misses > 0 && fresh.stats().writebacks > 0);
+        }
     }
 
     #[test]

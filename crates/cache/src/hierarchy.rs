@@ -226,18 +226,33 @@ impl Hierarchy {
         self.prefetches = 0;
     }
 
-    /// Invalidates everything and resets counters (cold restart).
-    pub fn flush(&mut self) {
-        self.l1i.flush();
-        self.l1d.flush();
-        self.l2.flush();
-        self.l3.flush();
-        let itlb_cfg = *self.itlb.config();
-        let dtlb_cfg = *self.dtlb.config();
-        self.itlb = Tlb::new(itlb_cfg);
-        self.dtlb = Tlb::new(dtlb_cfg);
+    /// Restores the exact state [`Hierarchy::new`] builds from this
+    /// configuration: every cache and TLB empty with its replacement state
+    /// at the start (see [`Cache::reset`]), counters zeroed, warmup off,
+    /// and no remembered fetch line. A replay that starts from a reset
+    /// hierarchy sees exactly what it would see on a fresh one, and the
+    /// reset costs time in proportion to the sets the caches filled since
+    /// the last one, not to the capacity a fresh hierarchy allocates and
+    /// fills.
+    pub fn reset(&mut self) {
+        self.l1i.reset();
+        self.l1d.reset();
+        self.l2.reset();
+        self.l3.reset();
+        self.itlb.reset();
+        self.dtlb.reset();
+        self.warmup = false;
         self.prefetches = 0;
         self.last_fetch_line = None;
+    }
+
+    /// Invalidates everything and resets counters (cold restart): the
+    /// state of [`Hierarchy::reset`], except that the warmup mode, a
+    /// setting rather than contents, is kept.
+    pub fn flush(&mut self) {
+        let warmup = self.warmup;
+        self.reset();
+        self.warmup = warmup;
     }
 }
 

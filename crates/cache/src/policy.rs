@@ -40,6 +40,8 @@ pub(crate) struct PolicyState {
     /// Tree bits per set (TreePlru only).
     pub trees: Vec<u32>,
     pub rng: SplitMix64,
+    /// The RNG's construction seed, for [`PolicyState::reseed`].
+    seed: u64,
 }
 
 impl PolicyState {
@@ -58,7 +60,25 @@ impl PolicyState {
                 Vec::new()
             },
             rng: SplitMix64::new(seed),
+            seed,
         }
+    }
+
+    /// Restarts the random-replacement RNG from its construction seed.
+    pub fn reseed(&mut self) {
+        self.rng = SplitMix64::new(self.seed);
+    }
+
+    /// Returns `set`'s tree bits to their initial value.
+    pub fn clear_set(&mut self, set: usize) {
+        if let Some(tree) = self.trees.get_mut(set) {
+            *tree = 0;
+        }
+    }
+
+    /// Returns every set's tree bits to their initial value.
+    pub fn clear_all(&mut self) {
+        self.trees.fill(0);
     }
 
     /// Updates policy metadata on a hit at `way`.

@@ -113,6 +113,16 @@ impl Tlb {
         self.stats
     }
 
+    /// Restores the exact state [`Tlb::new`] builds: no translations, the
+    /// stamp clock and hint table at zero, counters zeroed.
+    pub fn reset(&mut self) {
+        self.pages.fill(INVALID);
+        self.stamps.fill(0);
+        self.clock = 0;
+        self.stats = TlbStats::default();
+        self.hints.fill(0);
+    }
+
     /// Resets counters, keeping translations resident.
     pub fn reset_stats(&mut self) {
         self.stats = TlbStats::default();

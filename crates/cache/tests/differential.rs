@@ -9,6 +9,10 @@
 //! full-scan [`ReferenceTlb`], and [`Hierarchy`] (same-line fetch fast
 //! path included) against a level-by-level walk over the reference
 //! models.
+//!
+//! Finally, [`Hierarchy::reset`] and [`Cache::reset`] must leave exactly
+//! the state a fresh constructor builds: after arbitrary traffic, a reset
+//! model and a new one answer every later access identically.
 
 use sampsim_cache::policy::ReplacementPolicy;
 use sampsim_cache::{
@@ -18,7 +22,7 @@ use sampsim_cache::{
 use sampsim_util::rng::SplitMix64;
 
 /// Drives both models through an identical seeded stream of reads,
-/// writes, warmup accesses, flushes and stat resets, asserting
+/// writes, warmup accesses, a flush and stat resets, asserting
 /// equivalence after every access and at every checkpoint.
 fn drive(config: CacheConfig, seed: u64, accesses: usize, ws_bytes: u64) -> CacheStats {
     let mut fast = Cache::new(config);
@@ -51,8 +55,11 @@ fn drive(config: CacheConfig, seed: u64, accesses: usize, ws_bytes: u64) -> Cach
             reference.reset_stats();
         }
         if i == (3 * accesses) / 4 {
+            // A flush is a cold restart: the state of a new cache. The
+            // frozen reference's own flush keeps its random-replacement
+            // RNG and tree-PLRU bits, so compare against a new one.
             fast.flush();
-            reference.flush();
+            reference = ReferenceCache::new(config);
         }
     }
     assert_eq!(fast.stats(), reference.stats());
@@ -301,16 +308,6 @@ impl ReferenceHierarchy {
         self.dtlb.reset_stats();
         self.prefetches = 0;
     }
-
-    fn flush(&mut self) {
-        self.l1i.flush();
-        self.l1d.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.itlb = ReferenceTlb::new(self.config.itlb);
-        self.dtlb = ReferenceTlb::new(self.config.dtlb);
-        self.prefetches = 0;
-    }
 }
 
 /// Drives [`Hierarchy`] and [`ReferenceHierarchy`] through one seeded
@@ -372,8 +369,12 @@ fn drive_hierarchy(config: HierarchyConfig, seed: u64, insts: usize, code_bytes:
             _ => {}
         }
         if i == insts / 2 {
+            // A flush keeps the warmup mode and otherwise restarts cold,
+            // as a new hierarchy.
             fast.flush();
-            reference.flush();
+            let warmup = reference.warmup;
+            reference = ReferenceHierarchy::new(config);
+            reference.warmup = warmup;
         }
         if i % 97 == 0 {
             assert_eq!(fast.stats(), reference.stats(), "stats diverged at #{i}");
@@ -414,4 +415,204 @@ fn hierarchy_with_packed_l1i_matches_reference_walk() {
         config.dtlb = TlbConfig::new(3, 4096);
         drive_hierarchy(config, 0x4A4, 20_000, 16 << 10);
     }
+}
+
+/// One seeded access of a reset-differential stream.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Fetch(u64),
+    Data(u64, bool),
+}
+
+/// A seeded instruction stream: runs of sequential 4-byte fetches over
+/// 32 KiB of code, a load or store on about a third of them, data drawn
+/// from `data_bytes` (half of it as a sequential 8-byte walk).
+fn reset_stream(seed: u64, ops: usize, data_bytes: u64) -> Vec<Op> {
+    let mut rng = SplitMix64::new(seed);
+    let mut out = Vec::with_capacity(ops);
+    let mut pc = 0x40_0000;
+    let mut run_left = 0u64;
+    let mut walk = 0x1000_0000u64;
+    while out.len() < ops {
+        if run_left == 0 {
+            pc = 0x40_0000 + ((rng.next_u64() % (32 << 10)) & !3);
+            run_left = 1 + rng.next_u64() % 32;
+        }
+        run_left -= 1;
+        out.push(Op::Fetch(pc));
+        pc += 4;
+        let r = rng.next_u64();
+        if r.is_multiple_of(3) {
+            let addr = if r.is_multiple_of(2) {
+                walk += 8;
+                walk
+            } else {
+                0x1000_0000 + (r >> 8) % data_bytes
+            };
+            out.push(Op::Data(addr, r.is_multiple_of(5)));
+        }
+    }
+    out
+}
+
+/// Plays `ops` on `h`, returning the level of every access.
+fn play(h: &mut Hierarchy, ops: &[Op]) -> Vec<Level> {
+    ops.iter()
+        .map(|&op| match op {
+            Op::Fetch(pc) => h.fetch(pc),
+            Op::Data(addr, write) => h.access_data(addr, write),
+        })
+        .collect()
+}
+
+/// Dirties `h` with `ops` under the bookkeeping a replay does (warmup on
+/// for the first part, a stat reset part-way), leaving warmup on, then
+/// resets it and checks that it answers `probe` exactly like a fresh
+/// hierarchy, access by access and in every counter.
+fn check_reset(h: &mut Hierarchy, ops: &[Op], probe: &[Op], what: &str) {
+    let (warm, rest) = ops.split_at(ops.len() / 3);
+    h.set_warmup(true);
+    play(h, warm);
+    h.set_warmup(false);
+    let (before, after) = rest.split_at(rest.len() / 2);
+    play(h, before);
+    h.reset_stats();
+    play(h, after);
+    h.set_warmup(true);
+    h.reset();
+    assert!(!h.warmup(), "{what}: reset leaves warmup on");
+    assert_eq!(h.stats(), HierarchyStats::default(), "{what}: counters");
+    let mut fresh = Hierarchy::new(*h.config());
+    for (i, &op) in probe.iter().enumerate() {
+        let (a, b) = match op {
+            Op::Fetch(pc) => (h.fetch(pc), fresh.fetch(pc)),
+            Op::Data(addr, write) => (h.access_data(addr, write), fresh.access_data(addr, write)),
+        };
+        assert_eq!(a, b, "{what}: probe access #{i} ({op:?})");
+        if i % 211 == 0 {
+            assert_eq!(h.stats(), fresh.stats(), "{what}: stats at #{i}");
+        }
+    }
+    assert_eq!(h.stats(), fresh.stats(), "{what}: final stats");
+}
+
+#[test]
+fn reset_hierarchy_matches_a_fresh_one() {
+    // Small data footprints keep every cache's log under its cap (the
+    // set-by-set reset); 8 MiB of data overflows the L2 and L3 logs (the
+    // full clear). One hierarchy serves every round, so each reset also
+    // follows an earlier reset of the other kind.
+    for base in [configs::allcache_table1(), configs::i7_table3()] {
+        for policy in POLICIES {
+            for prefetch in [false, true] {
+                let mut config = base;
+                config.l1i = config.l1i.with_policy(policy);
+                config.next_line_prefetch = prefetch;
+                let mut h = Hierarchy::new(config);
+                for (round, data_bytes) in [64 << 10, 8 << 20, 256 << 10, 8 << 20, 4 << 10]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let seed = 0x2E5E7 ^ ((round as u64) << 8) ^ config.l1i.size_bytes;
+                    let ops = reset_stream(seed, 12_000, data_bytes);
+                    let probe = reset_stream(seed ^ 0xF00D, 6_000, 1 << 20);
+                    let what = format!(
+                        "{:?} L1I, {}-way L3, prefetch {prefetch}, round {round}",
+                        policy, config.l3.ways
+                    );
+                    check_reset(&mut h, &ops, &probe, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn reset_after_a_stream_that_overflows_the_touched_set_log() {
+    // A sequential walk over 4 MiB fills 131 072 distinct L3 sets of the
+    // Table I hierarchy, four times its 32 768-entry log.
+    let walk: Vec<Op> = (0..(4u64 << 20))
+        .step_by(32)
+        .map(|a| Op::Data(0x2000_0000 + a, a % 96 == 0))
+        .collect();
+    let probe = reset_stream(0x0F10, 20_000, 8 << 20);
+    let mut h = Hierarchy::new(configs::allcache_table1());
+    check_reset(&mut h, &walk, &probe, "allcache after a 4 MiB walk");
+    check_reset(&mut h, &probe, &walk, "allcache after the probe");
+}
+
+#[test]
+fn one_byte_lines_reset_after_all_ones_address_hits() {
+    // With 1-byte lines the all-ones address is the invalid tag, so it
+    // "hits" an empty way: the hit updates replacement state (observably
+    // so under tree-PLRU) and a write marks the way dirty, with no fill
+    // to log. Reset must undo that too. Single-set caches over a few
+    // lines near the top of the address space keep that set busy.
+    for policy in POLICIES {
+        for ways in [4u32, 8] {
+            let config = CacheConfig::new(u64::from(ways), ways, 1, 1).with_policy(policy);
+            let mut reused = Cache::new(config);
+            for seed in 0..64u64 {
+                let mut rng = SplitMix64::new(seed);
+                let mut next = || {
+                    let r = rng.next_u64();
+                    (u64::MAX - (r >> 1) % u64::from(ways + 3), r & 1 == 0)
+                };
+                assert!(
+                    reused.access_rw(u64::MAX, seed % 2 == 0, true),
+                    "all-ones hits"
+                );
+                if seed % 4 == 3 {
+                    for _ in 0..20 {
+                        let (addr, write) = next();
+                        reused.access_rw(addr, write, true);
+                    }
+                }
+                reused.reset();
+                let mut fresh = Cache::new(config);
+                for i in 0..60 {
+                    let (addr, write) = next();
+                    assert_eq!(
+                        reused.access_rw(addr, write, true),
+                        fresh.access_rw(addr, write, true),
+                        "{policy:?}, {ways} ways, seed {seed}: access #{i}"
+                    );
+                    assert_eq!(reused.stats(), fresh.stats(), "{policy:?}, seed {seed}");
+                }
+                reused.reset();
+            }
+        }
+    }
+    // The same through a whole hierarchy of single-set 1-byte-line
+    // tree-PLRU caches.
+    let tiny =
+        |ways| CacheConfig::new(ways, ways as u32, 1, 1).with_policy(ReplacementPolicy::TreePlru);
+    let config = HierarchyConfig {
+        l1i: tiny(4),
+        l1d: tiny(4),
+        l2: tiny(8),
+        l3: tiny(1),
+        itlb: TlbConfig::new(4, 4096),
+        dtlb: TlbConfig::new(4, 4096),
+        mem_latency: 100,
+        next_line_prefetch: false,
+    };
+    let mut rng = SplitMix64::new(0x1B);
+    let ops: Vec<Op> = (0..600u64)
+        .map(|i| {
+            let addr = u64::MAX - rng.next_u64() % 11;
+            if i % 3 == 0 {
+                Op::Fetch(addr)
+            } else {
+                Op::Data(addr, i % 2 == 0)
+            }
+        })
+        .collect();
+    let mut h = Hierarchy::new(config);
+    check_reset(&mut h, &ops, &ops, "1-byte lines");
+    for write in [false, true] {
+        let what = format!("all-ones data access only (write {write})");
+        check_reset(&mut h, &[Op::Data(u64::MAX, write)], &ops, &what);
+    }
+    check_reset(&mut h, &[Op::Fetch(u64::MAX)], &ops, "all-ones fetch only");
 }

@@ -10,6 +10,7 @@ use crate::metrics::{aggregate_weighted, AggregatedMetrics, RunMetrics};
 use crate::pipeline::{PinPointsConfig, Pipeline};
 use crate::runs::{self, WarmupMode};
 use sampsim_cache::{configs, HierarchyConfig};
+use sampsim_pin::tools::CacheSim;
 use sampsim_simpoint::select::{reduce_to_percentile, SimPoint};
 use sampsim_simpoint::variance::variance_sweep;
 use sampsim_spec2017::BenchmarkSpec;
@@ -168,11 +169,15 @@ impl BenchResult {
             .pinpoints
             .profile_cache
             .unwrap_or_else(configs::allcache_table1);
+        // One hierarchy, reset before every replay: a region's cold run
+        // (what Fig. 5's Regional time sums) pays for the lines it
+        // touches, not for building a 16 MB cache model.
+        let mut cs = CacheSim::new(cache_cfg);
         let mut regions = Vec::with_capacity(regional.len());
         for pb in &regional {
-            let cold = runs::run_region_functional(&program, pb, cache_cfg, WarmupMode::None)?;
+            let cold = runs::replay_region_functional(&program, pb, &mut cs, WarmupMode::None)?;
             let warm =
-                runs::run_region_functional(&program, pb, cache_cfg, WarmupMode::Checkpointed)?;
+                runs::replay_region_functional(&program, pb, &mut cs, WarmupMode::Checkpointed)?;
             let timing = runs::run_region_timing(
                 &program,
                 pb,

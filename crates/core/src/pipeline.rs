@@ -6,7 +6,7 @@ use crate::metrics::RunMetrics;
 use sampsim_analyze::{
     lint_sampling_config, lint_soundness, Report, SamplingConfig, SoundnessInput,
 };
-use sampsim_cache::{HierarchyConfig, HierarchyStats};
+use sampsim_cache::HierarchyConfig;
 use sampsim_exec::Jobs;
 use sampsim_pin::engine;
 use sampsim_pin::tools::{BbvTool, CacheSim, LdStMix, MixCounts};
@@ -14,6 +14,7 @@ use sampsim_pinball::{RegionalPinball, WarmupRecord, WholePinball};
 use sampsim_simpoint::bbv::Bbv;
 use sampsim_simpoint::{
     RandomProjection, SimPoint, SimPointOptions, SimPointsResult, StrategyInput, StrategySpec,
+    StreamingProjector,
 };
 use sampsim_workload::{Cursor, Executor, Program};
 use std::time::Instant;
@@ -192,8 +193,6 @@ impl Pipeline {
         cache: &dyn crate::stage_cache::StageCache,
         preflight: &Preflight,
     ) -> Result<PipelineResult, CoreError> {
-        use crate::stage_cache::{profile_stage_key, ProfileStage};
-
         let fresh;
         let preflight = if preflight.key == self.preflight_key(program) {
             preflight
@@ -206,27 +205,63 @@ impl Pipeline {
                 preflight.report.clone().into_diagnostics(),
             ));
         }
+        let (stage, selected) = self.cached_profile_then(program, jobs, cache, |bbvs, starts| {
+            self.select_regions(program, bbvs, starts, jobs)
+        });
+        let (simpoints, replicates, regional) = selected?;
+        Ok(PipelineResult {
+            whole: WholePinball::capture(program),
+            whole_metrics: stage.metrics,
+            simpoints,
+            regional,
+            num_slices: stage.bbvs.len() as u64,
+            replicates,
+        })
+    }
+
+    /// The profile stage of `program`, reused from `cache` or computed and
+    /// then stored, with `then` run on its BBVs and slice cursors. On a
+    /// miss `then` runs as soon as the BBV pass ends, while the whole-run
+    /// cache truth may still be running (see [`Pipeline::profile_then`]),
+    /// and the stage is stored once the truth has joined, whether or not
+    /// `then` succeeded.
+    fn cached_profile_then<R>(
+        &self,
+        program: &Program,
+        jobs: Jobs,
+        cache: &dyn crate::stage_cache::StageCache,
+        then: impl FnOnce(&[Bbv], &[Cursor]) -> R,
+    ) -> (crate::stage_cache::ProfileStage, R) {
+        use crate::stage_cache::{profile_stage_key, ProfileStage};
+
         let key = profile_stage_key(program, &self.config);
         let cached = cache
             .get(key)
             .filter(|bytes| ProfileStage::peek_matches(bytes, program, &self.config))
             .and_then(|bytes| ProfileStage::from_bytes(&bytes).ok())
             .filter(|stage| stage.matches(program, &self.config));
-        let (bbvs, starts, whole_metrics) = match cached {
-            Some(stage) => (stage.bbvs, stage.starts, stage.metrics),
-            None => {
-                let (bbvs, starts, metrics) = self.profile_jobs(program, jobs);
-                let stage = ProfileStage {
-                    bbvs,
-                    starts,
-                    metrics,
-                };
-                cache.put(key, &stage.to_bytes());
-                (stage.bbvs, stage.starts, stage.metrics)
-            }
+        if let Some(stage) = cached {
+            let r = then(&stage.bbvs, &stage.starts);
+            return (stage, r);
+        }
+        let (bbvs, starts, metrics, r) = self.profile_then(program, jobs, Vec::new, then);
+        let stage = ProfileStage {
+            bbvs,
+            starts,
+            metrics,
         };
-        let num_slices = bbvs.len() as u64;
+        cache.put(key, &stage.to_bytes());
+        (stage, r)
+    }
 
+    /// Region selection and checkpoint creation over one profile.
+    fn select_regions(
+        &self,
+        program: &Program,
+        bbvs: &[Bbv],
+        starts: &[Cursor],
+        jobs: Jobs,
+    ) -> Result<Selected, CoreError> {
         // -- Region selection through the strategy trait. The `simpoint`
         // strategy runs the exact code `SimPointAnalysis::run_jobs` always
         // ran (every (k, restart) clustering fans out over the same
@@ -235,7 +270,7 @@ impl Pipeline {
         let strategy = self.config.strategy.build(&self.config.simpoint);
         let selection = strategy.select(
             &StrategyInput {
-                bbvs: &bbvs,
+                bbvs,
                 slice_size: self.config.slice_size,
             },
             jobs,
@@ -243,16 +278,8 @@ impl Pipeline {
         let (simpoints, replicates) = selection.into_parts(self.config.slice_size);
 
         // -- Regional pinballs.
-        let regional = self.make_regionals(program, &simpoints, &starts);
-
-        Ok(PipelineResult {
-            whole: WholePinball::capture(program),
-            whole_metrics,
-            simpoints,
-            regional,
-            num_slices,
-            replicates,
-        })
+        let regional = self.make_regionals(program, &simpoints, starts);
+        Ok((simpoints, replicates, regional))
     }
 
     /// The full static-analysis preflight: configuration lints plus the
@@ -366,16 +393,16 @@ impl Pipeline {
 
     /// [`Pipeline::profile`] sharded over `jobs` workers.
     ///
-    /// The slice range is split into one contiguous shard per worker. A
-    /// serial prologue fast-forwards an untooled executor to capture each
-    /// shard's resume cursor (checkpoint/resume is bit-exact, so a shard
-    /// observes exactly the instruction stream the whole-program walk
-    /// would have produced); shards then profile their slices
-    /// concurrently and the per-shard BBVs, slice cursors and mix counts
-    /// are stitched back together in slice order. The cache simulator has
-    /// sequentially-dependent state across the whole run, so when
-    /// `profile_cache` is set a dedicated task walks the full program
-    /// with only the cache tool, overlapped with the BBV shards.
+    /// The slice range is split into contiguous shards. A serial prologue
+    /// fast-forwards an untooled executor to capture each shard's resume
+    /// cursor (checkpoint/resume is bit-exact, so a shard observes exactly
+    /// the instruction stream the whole-program walk would have produced);
+    /// shards then profile their slices concurrently and the per-shard
+    /// BBVs, slice cursors and mix counts are stitched back together in
+    /// slice order. The cache simulator has sequentially-dependent state
+    /// across the whole run, so when `profile_cache` is set a dedicated
+    /// task walks the full program with only the cache tool, on a worker
+    /// of its own beside the BBV shards.
     ///
     /// Every output except `wall_seconds` is bit-identical to the serial
     /// pass for every job count.
@@ -384,101 +411,7 @@ impl Pipeline {
         program: &Program,
         jobs: Jobs,
     ) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
-        let slice = self.config.slice_size;
-        assert!(slice > 0, "slice size must be positive");
-        let started = Instant::now();
-        let num_slices = program.total_insts().div_ceil(slice);
-        // One shard per worker; with the whole-run cache task present,
-        // reserve a worker for it. Below two slices (or one worker)
-        // sharding cannot help.
-        let workers = jobs.get();
-        let shard_workers = if self.config.profile_cache.is_some() {
-            workers.saturating_sub(1).max(1)
-        } else {
-            workers
-        };
-        let num_shards = (shard_workers as u64).min(num_slices).max(1);
-        if workers <= 1 || num_shards <= 1 {
-            return self.profile_serial(program, started);
-        }
-
-        let shards = shard_plan(num_slices, num_shards);
-        // Serial prologue: fast-forward (untooled) to each shard start.
-        let mut tasks: Vec<ProfileTask> = Vec::with_capacity(shards.len() + 1);
-        if self.config.profile_cache.is_some() {
-            tasks.push(ProfileTask::Cache);
-        }
-        let mut exec = Executor::new(program);
-        for (i, shard) in shards.iter().enumerate() {
-            tasks.push(ProfileTask::Shard {
-                start: exec.cursor(),
-                slices: shard.count,
-            });
-            if i + 1 < shards.len() {
-                exec.skip(shard.count * slice);
-            }
-        }
-
-        let outputs = sampsim_exec::parallel_map(jobs, &tasks, |_, task| match task {
-            ProfileTask::Cache => {
-                let config = self
-                    .config
-                    .profile_cache
-                    .expect("cache task implies config");
-                let mut cs = CacheSim::new(config);
-                let mut exec = Executor::new(program);
-                engine::run_one(&mut exec, u64::MAX, &mut cs);
-                ProfileOutput::Cache(cs.stats())
-            }
-            ProfileTask::Shard { start, slices } => {
-                let mut exec = Executor::with_cursor(program, start.clone());
-                let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new());
-                let mut bbvs = Vec::with_capacity(*slices as usize);
-                let mut starts = Vec::with_capacity(*slices as usize);
-                let ran =
-                    engine::run_slices(&mut exec, slice, *slices, &mut tools, |t, start, _| {
-                        starts.push(start);
-                        bbvs.push(Bbv::from_counts(t.0.harvest()));
-                    });
-                ProfileOutput::Shard {
-                    bbvs,
-                    starts,
-                    mix: *tools.1.counts(),
-                    ran,
-                }
-            }
-        });
-
-        // Deterministic reduction: shard outputs are concatenated in
-        // slice order (the task list is ordered by shard start).
-        let mut bbvs = Vec::with_capacity(num_slices as usize);
-        let mut starts = Vec::with_capacity(num_slices as usize);
-        let mut mix_total = MixCounts::new();
-        let mut instructions = 0u64;
-        let mut cache_stats: Option<HierarchyStats> = None;
-        for out in outputs {
-            match out {
-                ProfileOutput::Cache(stats) => cache_stats = Some(stats),
-                ProfileOutput::Shard {
-                    bbvs: b,
-                    starts: s,
-                    mix,
-                    ran,
-                } => {
-                    bbvs.extend(b);
-                    starts.extend(s);
-                    mix_total.merge(&mix);
-                    instructions += ran;
-                }
-            }
-        }
-        let metrics = RunMetrics {
-            instructions,
-            mix: mix_total,
-            cache: cache_stats,
-            timing: None,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        };
+        let (bbvs, starts, metrics, ()) = self.profile_then(program, jobs, Vec::new, |_, _| ());
         (bbvs, starts, metrics)
     }
 
@@ -508,110 +441,139 @@ impl Pipeline {
         program: &Program,
         jobs: Jobs,
     ) -> (Vec<f64>, Vec<Cursor>, RunMetrics) {
+        let o = &self.config.simpoint;
+        let projection = RandomProjection::new(o.dim, o.seed);
+        let (rows, starts, metrics, ()) =
+            self.profile_then(program, jobs, || projection.streaming(), |_, _| ());
+        (rows, starts, metrics)
+    }
+
+    /// The profiling pass behind every `profile*` method, followed by a
+    /// continuation: each shard keeps its harvested slices in a sink from
+    /// `new_sink`, and `then` runs on the concatenated sink items and
+    /// slice cursors as soon as the BBV pass ends.
+    ///
+    /// From two workers up, the whole-run cache truth runs on a thread of
+    /// its own, started before the BBV shards, which share the remaining
+    /// workers. It is joined only after `then` returns, so `then` (region
+    /// selection, for [`Pipeline::run_jobs_cached_preflighted`]) overlaps
+    /// the rest of the truth. This changes no bits: the truth reads only
+    /// the program, and `then` reads only the BBVs and cursors. A panic in
+    /// the truth propagates at the join. `wall_seconds` runs from the
+    /// start of the pass until both the BBV pass and the truth have
+    /// finished, excluding `then`.
+    ///
+    /// With one worker (or at most one slice) the pass is the serial
+    /// single walk with every tool attached, and `then` follows it.
+    fn profile_then<S: SliceSink, R>(
+        &self,
+        program: &Program,
+        jobs: Jobs,
+        new_sink: impl Fn() -> S + Sync,
+        then: impl FnOnce(&[S::Item], &[Cursor]) -> R,
+    ) -> (Vec<S::Item>, Vec<Cursor>, RunMetrics, R) {
         let slice = self.config.slice_size;
         assert!(slice > 0, "slice size must be positive");
         let started = Instant::now();
-        let o = &self.config.simpoint;
-        let projection = RandomProjection::new(o.dim, o.seed);
         let num_slices = program.total_insts().div_ceil(slice);
         let workers = jobs.get();
-        let shard_workers = if self.config.profile_cache.is_some() {
-            workers.saturating_sub(1).max(1)
-        } else {
-            workers
-        };
-        let num_shards = (shard_workers as u64).min(num_slices).max(1);
-        if workers <= 1 || num_shards <= 1 {
-            return self.profile_projected_serial(program, &projection, started);
+        if workers <= 1 || num_slices <= 1 {
+            let (items, starts, metrics) = self.profile_serial(program, new_sink(), started);
+            let r = then(&items, &starts);
+            return (items, starts, metrics, r);
         }
+        let truth = self.config.profile_cache;
+        let shard_workers = workers - usize::from(truth.is_some());
+        let num_shards = (shard_workers as u64).min(num_slices);
+        std::thread::scope(|scope| {
+            let truth = truth.map(|config| {
+                scope.spawn(move || {
+                    let mut cs = CacheSim::new(config);
+                    let mut exec = Executor::new(program);
+                    engine::run_one(&mut exec, u64::MAX, &mut cs);
+                    (cs.stats(), Instant::now())
+                })
+            });
+            let (items, starts, mix, instructions) =
+                self.profile_shards(program, num_shards, &new_sink);
+            let mut finished = Instant::now();
+            let r = then(&items, &starts);
+            let cache = truth.map(|handle| {
+                let (stats, done) = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                finished = finished.max(done);
+                stats
+            });
+            let metrics = RunMetrics {
+                instructions,
+                mix,
+                cache,
+                timing: None,
+                wall_seconds: finished.duration_since(started).as_secs_f64(),
+            };
+            (items, starts, metrics, r)
+        })
+    }
 
+    /// The BBV/mix half of a sharded profiling pass: `num_shards`
+    /// contiguous shards profiled concurrently, their sink items, slice
+    /// cursors, mix counts and instruction counts stitched back together
+    /// in slice order.
+    fn profile_shards<S: SliceSink>(
+        &self,
+        program: &Program,
+        num_shards: u64,
+        new_sink: &(impl Fn() -> S + Sync),
+    ) -> (Vec<S::Item>, Vec<Cursor>, MixCounts, u64) {
+        let slice = self.config.slice_size;
+        let num_slices = program.total_insts().div_ceil(slice);
         let shards = shard_plan(num_slices, num_shards);
-        let mut tasks: Vec<ProfileTask> = Vec::with_capacity(shards.len() + 1);
-        if self.config.profile_cache.is_some() {
-            tasks.push(ProfileTask::Cache);
-        }
+        // Serial prologue: fast-forward (untooled) to each shard start.
+        let mut tasks: Vec<(Cursor, u64)> = Vec::with_capacity(shards.len());
         let mut exec = Executor::new(program);
         for (i, shard) in shards.iter().enumerate() {
-            tasks.push(ProfileTask::Shard {
-                start: exec.cursor(),
-                slices: shard.count,
-            });
+            tasks.push((exec.cursor(), shard.count));
             if i + 1 < shards.len() {
                 exec.skip(shard.count * slice);
             }
         }
-
-        let outputs = sampsim_exec::parallel_map(jobs, &tasks, |_, task| match task {
-            ProfileTask::Cache => {
-                let config = self
-                    .config
-                    .profile_cache
-                    .expect("cache task implies config");
-                let mut cs = CacheSim::new(config);
-                let mut exec = Executor::new(program);
-                engine::run_one(&mut exec, u64::MAX, &mut cs);
-                ProjectedOutput::Cache(cs.stats())
-            }
-            ProfileTask::Shard { start, slices } => {
-                let mut exec = Executor::with_cursor(program, start.clone());
-                let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new());
-                let mut projector = projection.streaming();
-                let mut starts = Vec::with_capacity(*slices as usize);
-                let ran =
-                    engine::run_slices(&mut exec, slice, *slices, &mut tools, |t, start, _| {
-                        starts.push(start);
-                        // Project-and-drop: the sparse BBV lives only for
-                        // this call.
-                        projector.push_normalized(&Bbv::from_counts(t.0.harvest()));
-                    });
-                ProjectedOutput::Shard {
-                    rows: projector.into_rows(),
-                    starts,
-                    mix: *tools.1.counts(),
-                    ran,
-                }
-            }
+        let jobs = Jobs::new(tasks.len()).expect("at least one shard");
+        let outputs = sampsim_exec::parallel_map(jobs, &tasks, |_, (start, slices)| {
+            let mut exec = Executor::with_cursor(program, start.clone());
+            let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new());
+            let mut sink = new_sink();
+            let mut starts = Vec::with_capacity(*slices as usize);
+            let ran = engine::run_slices(&mut exec, slice, *slices, &mut tools, |t, start, _| {
+                starts.push(start);
+                sink.push(Bbv::from_counts(t.0.harvest()));
+            });
+            (sink.into_items(), starts, *tools.1.counts(), ran)
         });
 
-        let mut rows = Vec::with_capacity(num_slices as usize * o.dim);
+        // Deterministic reduction: shard outputs are concatenated in
+        // slice order (the task list is ordered by shard start).
+        let mut items = Vec::new();
         let mut starts = Vec::with_capacity(num_slices as usize);
         let mut mix_total = MixCounts::new();
         let mut instructions = 0u64;
-        let mut cache_stats: Option<HierarchyStats> = None;
-        for out in outputs {
-            match out {
-                ProjectedOutput::Cache(stats) => cache_stats = Some(stats),
-                ProjectedOutput::Shard {
-                    rows: r,
-                    starts: s,
-                    mix,
-                    ran,
-                } => {
-                    rows.extend_from_slice(&r);
-                    starts.extend(s);
-                    mix_total.merge(&mix);
-                    instructions += ran;
-                }
-            }
+        for (shard_items, shard_starts, mix, ran) in outputs {
+            items.extend(shard_items);
+            starts.extend(shard_starts);
+            mix_total.merge(&mix);
+            instructions += ran;
         }
-        let metrics = RunMetrics {
-            instructions,
-            mix: mix_total,
-            cache: cache_stats,
-            timing: None,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        };
-        (rows, starts, metrics)
+        (items, starts, mix_total, instructions)
     }
 
-    /// Single-threaded streaming profile (the reference semantics of
-    /// [`Pipeline::profile_projected_jobs`]).
-    fn profile_projected_serial(
+    /// The single-threaded profiling pass with every tool attached (the
+    /// reference semantics every sharded run must reproduce bit-for-bit).
+    fn profile_serial<S: SliceSink>(
         &self,
         program: &Program,
-        projection: &RandomProjection,
+        mut sink: S,
         started: Instant,
-    ) -> (Vec<f64>, Vec<Cursor>, RunMetrics) {
+    ) -> (Vec<S::Item>, Vec<Cursor>, RunMetrics) {
         let slice = self.config.slice_size;
         let mut exec = Executor::new(program);
         let mut tools = (
@@ -619,11 +581,10 @@ impl Pipeline {
             LdStMix::new(),
             self.config.profile_cache.map(CacheSim::new),
         );
-        let mut projector = projection.streaming();
         let mut starts = Vec::new();
         engine::run_slices(&mut exec, slice, u64::MAX, &mut tools, |t, start, _| {
             starts.push(start);
-            projector.push_normalized(&Bbv::from_counts(t.0.harvest()));
+            sink.push(Bbv::from_counts(t.0.harvest()));
         });
         let metrics = RunMetrics {
             instructions: exec.retired(),
@@ -632,70 +593,43 @@ impl Pipeline {
             timing: None,
             wall_seconds: started.elapsed().as_secs_f64(),
         };
-        (projector.into_rows(), starts, metrics)
-    }
-
-    /// The single-threaded profiling pass (the reference semantics every
-    /// sharded run must reproduce bit-for-bit).
-    fn profile_serial(
-        &self,
-        program: &Program,
-        started: Instant,
-    ) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
-        let slice = self.config.slice_size;
-        let mut exec = Executor::new(program);
-        let mut tools = (
-            BbvTool::new(program.blocks().len()),
-            LdStMix::new(),
-            self.config.profile_cache.map(CacheSim::new),
-        );
-        let mut bbvs = Vec::new();
-        let mut starts = Vec::new();
-        engine::run_slices(&mut exec, slice, u64::MAX, &mut tools, |t, start, _| {
-            starts.push(start);
-            bbvs.push(Bbv::from_counts(t.0.harvest()));
-        });
-        let metrics = RunMetrics {
-            instructions: exec.retired(),
-            mix: *tools.1.counts(),
-            cache: tools.2.map(|c| c.stats()),
-            timing: None,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        };
-        (bbvs, starts, metrics)
+        (sink.into_items(), starts, metrics)
     }
 }
 
-/// One unit of parallel profiling work.
-enum ProfileTask {
-    /// Walk the whole program with the cache simulator only (its state is
-    /// sequentially dependent and cannot shard).
-    Cache,
-    /// Profile `slices` slices starting from the checkpoint `start`.
-    Shard { start: Cursor, slices: u64 },
+/// A selection's points, its replicate point sets and one regional
+/// pinball per point.
+type Selected = (SimPointsResult, Vec<Vec<SimPoint>>, Vec<RegionalPinball>);
+
+/// What a profiling pass keeps of each harvested slice's BBV.
+trait SliceSink: Send {
+    /// One kept element: a BBV, or one coordinate of a projected row.
+    type Item: Send;
+    /// Takes the next slice's BBV.
+    fn push(&mut self, bbv: Bbv);
+    /// The kept elements, in slice order.
+    fn into_items(self) -> Vec<Self::Item>;
 }
 
-/// The result of one [`ProfileTask`].
-enum ProfileOutput {
-    Cache(HierarchyStats),
-    Shard {
-        bbvs: Vec<Bbv>,
-        starts: Vec<Cursor>,
-        mix: MixCounts,
-        ran: u64,
-    },
+impl SliceSink for Vec<Bbv> {
+    type Item = Bbv;
+    fn push(&mut self, bbv: Bbv) {
+        Vec::push(self, bbv);
+    }
+    fn into_items(self) -> Vec<Bbv> {
+        self
+    }
 }
 
-/// The result of one [`ProfileTask`] on the streaming projected path:
-/// projected rows instead of retained BBVs.
-enum ProjectedOutput {
-    Cache(HierarchyStats),
-    Shard {
-        rows: Vec<f64>,
-        starts: Vec<Cursor>,
-        mix: MixCounts,
-        ran: u64,
-    },
+/// Project-and-drop: the sparse BBV lives only for the `push` call.
+impl SliceSink for StreamingProjector {
+    type Item = f64;
+    fn push(&mut self, bbv: Bbv) {
+        self.push_normalized(&bbv);
+    }
+    fn into_items(self) -> Vec<f64> {
+        self.into_rows()
+    }
 }
 
 /// A contiguous range of slices owned by one shard.
@@ -870,6 +804,52 @@ mod tests {
         let cache = r.whole_metrics.cache.unwrap();
         assert_eq!(cache.l1i.accesses, p.total_insts());
         assert!(cache.l1d.accesses > 0);
+    }
+
+    #[test]
+    fn failing_selection_still_stores_the_stage_and_returns_the_serial_error() {
+        use crate::stage_cache::{profile_stage_key, MemoryStageCache, ProfileStage, StageCache};
+        use sampsim_simpoint::{SamplingStrategy, SimPointStrategy};
+
+        let p = program();
+        let mut cfg = config();
+        cfg.profile_cache = Some(configs::allcache_table1());
+        let pipe = Pipeline::new(cfg);
+        let key = profile_stage_key(&p, pipe.config());
+        // Selection with MaxK 0 fails on any BBVs. From two workers up it
+        // runs while the cache truth is still running.
+        let broken = SimPointStrategy::new(SimPointOptions {
+            max_k: 0,
+            ..Default::default()
+        });
+        let (serial, _, _) = pipe.profile(&p);
+        let mut errors = Vec::new();
+        for n in [1, 2, 3] {
+            let jobs = Jobs::new(n).unwrap();
+            let cache = MemoryStageCache::new();
+            let (stage, selected) = pipe.cached_profile_then(&p, jobs, &cache, |bbvs, _| {
+                broken
+                    .select(
+                        &StrategyInput {
+                            bbvs,
+                            slice_size: 1_000,
+                        },
+                        jobs,
+                    )
+                    .map_err(CoreError::from)
+            });
+            errors.push(format!("{:?}", selected.unwrap_err()));
+            assert_eq!(cache.len(), 1, "jobs = {n}: the stage is stored");
+            let stored = ProfileStage::from_bytes(&cache.get(key).unwrap()).unwrap();
+            assert_eq!(stored.bbvs, serial, "jobs = {n}");
+            assert!(
+                stored.metrics.deterministic_eq(&stage.metrics),
+                "jobs = {n}"
+            );
+            assert!(stage.metrics.cache.is_some(), "jobs = {n}: truth joined");
+        }
+        assert!(errors[0].contains("ZeroMaxK"), "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 
     #[test]

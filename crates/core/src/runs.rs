@@ -69,12 +69,27 @@ pub fn run_region_functional(
     cache: HierarchyConfig,
     warmup: WarmupMode,
 ) -> Result<RunMetrics, CoreError> {
+    replay_region_functional(program, pinball, &mut CacheSim::new(cache), warmup)
+}
+
+/// [`run_region_functional`] on a caller-held cache simulator, which is
+/// first reset to the state [`CacheSim::new`] builds (see
+/// [`sampsim_cache::Hierarchy::reset`]). The result is therefore the same
+/// bits whatever `cs` replayed before, and a caller replaying many regions
+/// builds the hierarchy once instead of per region.
+/// `wall_seconds` covers the reset and the replay.
+pub(crate) fn replay_region_functional(
+    program: &Program,
+    pinball: &RegionalPinball,
+    cs: &mut CacheSim,
+    warmup: WarmupMode,
+) -> Result<RunMetrics, CoreError> {
     let started = Instant::now();
-    let mut cs = CacheSim::new(cache);
+    cs.hierarchy_mut().reset();
     if !matches!(warmup, WarmupMode::None) {
         cs.hierarchy_mut().set_warmup(true);
         for (mut wexec, winsts) in pinball.warmup_executors(program)? {
-            engine::run_one(&mut wexec, winsts, &mut cs);
+            engine::run_one(&mut wexec, winsts, cs);
         }
         cs.hierarchy_mut().set_warmup(false);
     }
@@ -83,12 +98,12 @@ pub fn run_region_functional(
         cs.hierarchy_mut().set_warmup(true);
         for _ in 0..rounds {
             let mut replay = pinball.attach(program)?;
-            engine::run_one(&mut replay, pinball.length, &mut cs);
+            engine::run_one(&mut replay, pinball.length, cs);
         }
         cs.hierarchy_mut().set_warmup(false);
     }
     let mut mix = LdStMix::new();
-    let ran = engine::run(&mut exec, pinball.length, &mut [&mut mix, &mut cs]);
+    let ran = engine::run(&mut exec, pinball.length, &mut [&mut mix, cs]);
     Ok(RunMetrics {
         instructions: ran,
         mix: *mix.counts(),
@@ -116,11 +131,14 @@ pub fn run_regions_functional(
 
 /// [`run_regions_functional`] fanned out over `jobs` workers.
 ///
-/// Regions are mutually independent — each replay builds a private cache
-/// hierarchy from its own pinball — so this is bit-identical to the
+/// Each worker builds one cache hierarchy for the call and resets it
+/// before every region it replays, so a region starts from exactly the
+/// state a fresh hierarchy would have and its result depends neither on
+/// the worker nor on the order. This is therefore bit-identical to the
 /// serial loop for every job count: results come back in pinball order,
 /// and on failure the lowest-indexed error is returned, exactly as the
-/// serial loop would have surfaced it.
+/// serial loop would have surfaced it. The hierarchies are dropped when
+/// the call returns, so a long-lived caller holds none between calls.
 ///
 /// # Errors
 ///
@@ -132,12 +150,17 @@ pub fn run_regions_functional_jobs(
     warmup: WarmupMode,
     jobs: Jobs,
 ) -> Result<Vec<(RunMetrics, f64)>, CoreError> {
-    sampsim_exec::try_parallel_map(jobs, pinballs, |_, pb| {
-        Ok((
-            run_region_functional(program, pb, cache, warmup)?,
-            pb.weight,
-        ))
-    })
+    sampsim_exec::try_parallel_map_with(
+        jobs,
+        pinballs,
+        || CacheSim::new(cache),
+        |cs, _, pb| {
+            Ok((
+                replay_region_functional(program, pb, cs, warmup)?,
+                pb.weight,
+            ))
+        },
+    )
 }
 
 /// Runs the complete execution through the timing model.

@@ -13,7 +13,9 @@
 //! 1. **No shared mutable state.** Workers receive a shared `&` view of
 //!    the inputs and build private outputs; anything stateful (RNG,
 //!    cache models, BBV accumulators) is constructed per work item from
-//!    a deterministic seed or checkpoint.
+//!    a deterministic seed or checkpoint, or, when it is costly to build,
+//!    held once per worker ([`try_parallel_map_with`]) and reset to its
+//!    constructed state before each item.
 //! 2. **Reduction in item order.** [`parallel_map`] returns results
 //!    indexed exactly like its input slice, so every downstream fold —
 //!    including floating-point reductions, which are not associative —
@@ -27,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::convert::Infallible;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
@@ -116,47 +119,10 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = jobs.get().min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    match try_parallel_map_with(jobs, items, || (), |_, i, t| Ok::<R, Infallible>(f(i, t))) {
+        Ok(results) => results,
+        Err(never) => match never {},
     }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            handles.push(scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            }));
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        // Join explicitly so a worker's own panic payload (an assertion
-        // from the differential harness, say) surfaces instead of a
-        // generic "missing result" message.
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index produced a result"))
-            .collect()
-    })
 }
 
 /// Fallible [`parallel_map`]: maps `f` over `items` and returns either
@@ -177,12 +143,91 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let results = parallel_map(jobs, items, f);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
+    try_parallel_map_with(jobs, items, || (), |_, i, t| f(i, t))
+}
+
+/// [`try_parallel_map`] with one piece of mutable state per worker.
+///
+/// Each worker calls `init` once, when it claims its first item, and
+/// hands the state to `f` for every item it runs; the state is dropped
+/// when the call returns. This is for scratch that is expensive to build
+/// and cheap to reuse, such as a cache hierarchy that `f` resets before
+/// each item. Which items share a state depends on scheduling, so the
+/// determinism contract holds only if `f`'s result does not depend on
+/// what earlier items left in the state.
+///
+/// # Errors
+///
+/// Returns the lowest-indexed error produced by `f`; every item runs.
+///
+/// # Panics
+///
+/// Propagates the first worker panic (by join order) after all workers
+/// have stopped.
+pub fn try_parallel_map_with<T, S, R, E, I, F>(
+    jobs: Jobs,
+    items: &[T],
+    init: I,
+    f: F,
+) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
+{
+    let workers = jobs.get().min(items.len());
+    if workers <= 1 {
+        let mut state = None;
+        let results: Vec<Result<R, E>> = items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(state.get_or_insert_with(&init), i, t))
+            .collect();
+        return results.into_iter().collect();
     }
-    Ok(out)
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, Result<R, E>)>();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let next = &next;
+            let (init, f) = (&init, &f);
+            handles.push(scope.spawn(move || {
+                let mut state = None;
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(state.get_or_insert_with(init), i, &items[i]);
+                    if tx.send((i, r)).is_err() {
+                        break;
+                    }
+                }
+            }));
+        }
+        drop(tx);
+        let mut slots: Vec<Option<Result<R, E>>> =
+            std::iter::repeat_with(|| None).take(items.len()).collect();
+        for (i, r) in rx {
+            slots[i] = Some(r);
+        }
+        // Join explicitly so a worker's own panic payload (an assertion
+        // from the differential harness, say) surfaces instead of a
+        // generic "missing result" message.
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every index produced a result"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -258,6 +303,78 @@ mod tests {
         let ok: Result<Vec<usize>, usize> =
             try_parallel_map(Jobs::new(3).unwrap(), &items, |_, &x| Ok(x));
         assert_eq!(ok.unwrap(), items);
+    }
+
+    #[test]
+    fn map_with_builds_at_most_one_state_per_worker() {
+        use std::sync::atomic::AtomicUsize;
+        let items: Vec<u64> = (0..64).collect();
+        for (jobs, workers) in [
+            (SERIAL, 1),
+            (Jobs::new(3).unwrap(), 3),
+            (Jobs::new(7).unwrap(), 7),
+        ] {
+            let inits = AtomicUsize::new(0);
+            let got: Result<Vec<(u64, u64)>, ()> = try_parallel_map_with(
+                jobs,
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0u64
+                },
+                |seen, i, &x| {
+                    *seen += 1;
+                    assert_eq!(i as u64, x);
+                    Ok((x * 3, *seen))
+                },
+            );
+            let got = got.unwrap();
+            let built = inits.load(Ordering::Relaxed);
+            assert!(
+                (1..=workers).contains(&built),
+                "jobs = {jobs}: {built} states"
+            );
+            assert_eq!(
+                got.iter().map(|&(y, _)| y).collect::<Vec<_>>(),
+                items.iter().map(|x| x * 3).collect::<Vec<_>>(),
+                "jobs = {jobs}: results in index order"
+            );
+            // Each state saw a run of items: the per-state counts add up.
+            let last_counts: u64 = got.iter().filter(|&&(_, n)| n == 1).count() as u64;
+            assert_eq!(
+                last_counts, built as u64,
+                "jobs = {jobs}: one first item per state"
+            );
+        }
+        let none: Result<Vec<u8>, ()> = try_parallel_map_with(
+            Jobs::new(4).unwrap(),
+            &[] as &[u8],
+            || unreachable!(),
+            |_: &mut (), _, &x| Ok(x),
+        );
+        assert!(none.unwrap().is_empty(), "no items, no state");
+    }
+
+    #[test]
+    fn map_with_returns_the_lowest_indexed_error() {
+        let items: Vec<usize> = (0..50).collect();
+        for jobs in [
+            SERIAL,
+            Jobs::new(2).unwrap(),
+            Jobs::new(3).unwrap(),
+            Jobs::new(7).unwrap(),
+        ] {
+            let r: Result<Vec<usize>, usize> =
+                try_parallel_map_with(jobs, &items, Vec::new, |log: &mut Vec<usize>, i, &x| {
+                    log.push(i);
+                    if i % 17 == 9 || i == 40 {
+                        Err(i)
+                    } else {
+                        Ok(x)
+                    }
+                });
+            assert_eq!(r.unwrap_err(), 9, "jobs = {jobs}");
+        }
     }
 
     #[test]

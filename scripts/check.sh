@@ -83,6 +83,14 @@ done
 "$sampsim_bin" request "${bench_args[@]}" --addr "$addr" > "$serve_dir/reply.json" 2> /dev/null
 cmp "$serve_dir/direct.json" "$serve_dir/reply.json" \
     || { echo "serve smoke: served reply != run stdout" >&2; exit 1; }
+# The run document must not depend on the worker count. Three workers
+# give the cache truth its own thread and two BBV shards, and the truth
+# overlaps region selection; one worker is the serial walk.
+for jobs in 1 3; do
+    "$sampsim_bin" run "${bench_args[@]}" --jobs "$jobs" > "$serve_dir/direct-jobs$jobs.json" 2> /dev/null
+    cmp "$serve_dir/direct.json" "$serve_dir/direct-jobs$jobs.json" \
+        || { echo "serve smoke: run stdout differs between default jobs and --jobs $jobs" >&2; exit 1; }
+done
 "$sampsim_bin" request --stats --addr "$addr" > /dev/null
 "$sampsim_bin" request --shutdown --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "serve smoke: daemon exited non-zero" >&2; exit 1; }

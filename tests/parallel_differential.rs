@@ -16,7 +16,10 @@
 
 use sampsim::cache::configs;
 use sampsim::core::metrics::{aggregate_weighted, RunMetrics};
-use sampsim::core::runs::{run_regions_functional_jobs, run_regions_timing_jobs, WarmupMode};
+use sampsim::core::runs::{
+    run_region_functional, run_regions_functional_jobs, run_regions_timing_jobs, WarmupMode,
+};
+use sampsim::core::stage_cache::{profile_stage_key, MemoryStageCache, ProfileStage, StageCache};
 use sampsim::core::{PinPointsConfig, Pipeline};
 use sampsim::exec::Jobs;
 use sampsim::simpoint::{
@@ -135,7 +138,9 @@ fn check_pipeline(program: &Program, profile_cache: bool, label: &str) {
 }
 
 /// Functional regional replays: per-region cache miss counts and the
-/// weighted aggregate must be bit-identical.
+/// weighted aggregate must be bit-identical. The batch replays reuse one
+/// reset hierarchy per worker, so the serial batch is also checked region
+/// by region against replays on a freshly built hierarchy.
 fn check_functional_replay(program: &Program, label: &str) {
     let pipeline = Pipeline::new(config(false));
     let result = pipeline.run(program).unwrap();
@@ -148,6 +153,15 @@ fn check_functional_replay(program: &Program, label: &str) {
             sampsim::exec::SERIAL,
         )
         .unwrap();
+        for (i, (pb, (rm, _))) in result.regional.iter().zip(&reference).enumerate() {
+            let fresh =
+                run_region_functional(program, pb, configs::allcache_table1(), warmup).unwrap();
+            assert_metrics_identical(
+                &fresh,
+                rm,
+                &format!("{label}: region {i} ({warmup:?}) fresh vs reused hierarchy"),
+            );
+        }
         for jobs in job_grid() {
             let parallel = run_regions_functional_jobs(
                 program,
@@ -241,6 +255,64 @@ fn profile_with_cache_task_is_bit_identical() {
     for seed in [11, 14] {
         let program = synthetic(seed);
         check_profile(&program, true, &format!("seed {seed} (cache)"));
+    }
+}
+
+/// The stored profile stage with its host-dependent `wall_seconds`
+/// zeroed, re-encoded: the bytes every job count must agree on.
+fn stage_bytes_without_wall(bytes: &[u8]) -> Vec<u8> {
+    let mut stage = ProfileStage::from_bytes(bytes).expect("stored stage decodes");
+    stage.metrics.wall_seconds = 0.0;
+    stage.to_bytes()
+}
+
+#[test]
+fn cached_pipeline_is_bit_identical_on_miss_and_hit() {
+    // With `profile_cache` set, every job count from 2 up overlaps the
+    // whole-run cache truth with region selection. A stage-cache miss
+    // (which stores the stage after the truth joins) and the hit that
+    // follows must both reproduce the serial pipeline, and the stored
+    // stage must hold the serial profile.
+    let program = synthetic(23);
+    let pipeline = Pipeline::new(config(true));
+    let key = profile_stage_key(&program, pipeline.config());
+    let serial_cache = MemoryStageCache::new();
+    let reference = pipeline
+        .run_jobs_cached(&program, sampsim::exec::SERIAL, &serial_cache)
+        .unwrap();
+    let reference_stage = stage_bytes_without_wall(&serial_cache.get(key).unwrap());
+    for jobs in [1, 2, 3, 7]
+        .map(|n| Jobs::new(n).unwrap())
+        .into_iter()
+        .chain([Jobs::Auto])
+    {
+        let cache = MemoryStageCache::new();
+        for (pass, expect_hits) in [("miss", 0), ("hit", 1)] {
+            let hits_before = cache.hits();
+            let result = pipeline.run_jobs_cached(&program, jobs, &cache).unwrap();
+            let what = format!("{pass} (jobs = {jobs})");
+            assert_eq!(
+                cache.hits() - hits_before,
+                expect_hits,
+                "{what}: stage-cache hits"
+            );
+            assert_eq!(cache.len(), 1, "{what}: one stored stage");
+            assert_eq!(result.simpoints, reference.simpoints, "{what}: selection");
+            assert_eq!(result.regional, reference.regional, "{what}: pinballs");
+            assert_eq!(result.replicates, reference.replicates, "{what}");
+            assert_eq!(result.whole, reference.whole, "{what}: whole pinball");
+            assert_eq!(result.num_slices, reference.num_slices, "{what}");
+            assert_metrics_identical(
+                &reference.whole_metrics,
+                &result.whole_metrics,
+                &format!("{what}: whole metrics"),
+            );
+            assert_eq!(
+                stage_bytes_without_wall(&cache.get(key).unwrap()),
+                reference_stage,
+                "{what}: stored stage bytes"
+            );
+        }
     }
 }
 
